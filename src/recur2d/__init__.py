@@ -15,20 +15,20 @@ from .errors import (CoordinateNotInLayout, DivisionByZero, EngineError,
                      ShapeMismatch, ZeroTemplateError)
 from .field import (FieldDescriptor, RATIONALS, Scalar, from_fraction,
                     from_int, is_prime, one, parse_scalar, prime_field, zero)
-from .fill import (COMPLETE, FillResult, FillStep, INCONSISTENT, PARTIAL,
-                   SupportCaseResult, SupportReport, basis_array,
-                   check_support_cases, fill, fill_diagonal,
-                   finite_contribution_report, replay, steps_from_jsonl,
-                   steps_to_jsonl, superpose)
+from .fill import (COMPLETE, FillResult, FillStep, PARTIAL, SupportCaseResult,
+                   SupportReport, basis_array, check_support_cases, fill,
+                   fill_diagonal, finite_contribution_report, replay,
+                   steps_from_jsonl, steps_to_jsonl, superpose)
 from .layout import (CustomProvenance, DiagonalProvenance, Layout,
                      StandardProvenance, custom_layout, delta_values,
                      diagonal_coords, diagonal_layout, explicit_values,
                      indicator_values, random_values, standard_coords,
                      standard_layout, zero_values)
-from .oracle import (Certificate, LinearSystem, OracleResult, UNDERDETERMINED,
-                     UNIQUE, assemble_system, classify_and_solve, dump_system,
-                     layout_is_valid, oracle_equals_fill, solve_problem,
-                     verify_assignment, verify_certificate)
+from .oracle import (Certificate, INCONSISTENT, LinearSystem, OracleResult,
+                     UNDERDETERMINED, UNIQUE, assemble_system,
+                     classify_and_solve, dump_system, layout_is_valid,
+                     oracle_equals_fill, solve_problem, verify_assignment,
+                     verify_certificate)
 from .overlay import Overlay
 from .parser import expr_to_template, parse_template, parse_template_expr
 from .problem import ProblemSpec, load_problem, loads_problem

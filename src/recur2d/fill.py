@@ -1,12 +1,14 @@
 """Constructive window filling by sliding an overlay over a seeded window.
 
-The engine is a worklist constraint propagator. Each placement of the overlay
-inside the window is one linear equation over the cells it touches; a
-placement whose equation has exactly one Unknown cell (necessarily under a
-nonzero coefficient — zero-coefficient cells never appear in an equation)
-solves that cell by dividing the known part by the negated pivot coefficient.
-Placements are scanned in row-major order and the scan restarts after any
-sweep that solved something, until a fixpoint.
+Each placement of the overlay inside the window is one linear equation over the
+cells it touches; a placement whose equation has exactly one Unknown cell
+(necessarily under a nonzero coefficient — zero-coefficient cells never appear
+in an equation) solves that cell by dividing the known part by the negated
+pivot coefficient. The engine is a counter worklist (Dowling & Gallier, J.
+Logic Programming 1984): each placement counts its Unknown cells and is visited
+when the count reaches one, in the order a restart scan (rescanning the
+placement list until a sweep solves nothing) would solve it, so the step log is
+that scan's.
 
 After the fixpoint every placement whose cells are all Known is re-checked;
 a nonzero residual makes the result Inconsistent with that placement as the
@@ -21,20 +23,22 @@ to make step logs reproducible.
 
 from __future__ import annotations
 
+import heapq
 import json
 import random
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import CoordinateNotInLayout, LayoutOutOfWindow, ShapeMismatch
 from .field import FieldDescriptor, Scalar, parse_scalar, zero
 from .layout import (DiagonalProvenance, Layout, StandardProvenance,
                      indicator_values)
+from .oracle import INCONSISTENT
 from .overlay import Overlay
 from .window import ArrayWindow, Bounds, window_linear_combine
 
 COMPLETE = "complete"
 PARTIAL = "partial"
-INCONSISTENT = "inconsistent"
 
 
 @dataclass(frozen=True)
@@ -109,17 +113,46 @@ def _solve_single_unknown(window: ArrayWindow, overlay: Overlay,
     return FillStep(placement, unknown, (r - unknown[0], c - unknown[1]), value)
 
 
-def _propagate(window: ArrayWindow, overlay: Overlay,
-               placements: list[tuple[int, int]],
-               steps: list[FillStep]) -> None:
-    changed = True
-    while changed:
-        changed = False
-        for placement in placements:
-            step = _solve_single_unknown(window, overlay, placement)
-            if step is not None:
-                steps.append(step)
-                changed = True
+def _fill_in_order(overlay: Overlay, layout: Layout, bounds: Bounds,
+                   placements: list[tuple[int, int]]) -> FillResult:
+    """Propagate to the fixpoint, solving exactly as a restart scan of
+    ``placements`` would: a placement whose count drops to one is queued by
+    (sweep, position), in the current sweep if it lies after the solve that
+    readied it, else in the next; one whose count has since reached zero is
+    skipped, as the scan would skip it."""
+    window = _seed_window(overlay, layout, bounds)
+    position = {placement: k for k, placement in enumerate(placements)}
+    offsets = [(i, j) for i, j, _ in overlay.nonzero_cells()]
+    unknowns = [sum(window.get(r - i, c - j) is None for i, j in offsets)
+                for r, c in placements]
+    ready = [(0, k) for k, count in enumerate(unknowns) if count == 1]  # sorted: a heap
+    steps: list[FillStep] = []
+    while ready:
+        sweep, k = heapq.heappop(ready)
+        if unknowns[k] != 1:
+            continue
+        step = _solve_single_unknown(window, overlay, placements[k])
+        steps.append(step)
+        r, c = step.solved
+        for i, j in offsets:
+            q = position.get((r + i, c + j))
+            if q is not None:
+                unknowns[q] -= 1
+                if unknowns[q] == 1:
+                    heapq.heappush(ready, (sweep if q > k else sweep + 1, q))
+    return _finish(window, overlay, bounds, steps)
+
+
+def _redo_steps(overlay: Overlay, layout: Layout, bounds: Bounds,
+                steps: tuple[FillStep, ...]) -> ArrayWindow:
+    """Seed the window from ``layout`` and re-solve each logged placement in
+    order; raises ValueError when one no longer solves its logged cell."""
+    window = _seed_window(overlay, layout, bounds)
+    for step in steps:
+        redone = _solve_single_unknown(window, overlay, step.placement)
+        if redone is None or redone.solved != step.solved:
+            raise ValueError(f"step {step} does not replay against this layout")
+    return window.freeze()
 
 
 def _consistency_witness(window: ArrayWindow, overlay: Overlay,
@@ -160,27 +193,21 @@ def fill(overlay: Overlay, layout: Layout, bounds: Bounds, *,
     demonstrate that the reachable cells and their values are order-independent.
     The default (None) scans placements row-major.
     """
-    window = _seed_window(overlay, layout, bounds)
     placements = overlay.placements_within(bounds)
     if order_seed is not None:
         random.Random(order_seed).shuffle(placements)
-    steps: list[FillStep] = []
-    _propagate(window, overlay, placements, steps)
-    return _finish(window, overlay, bounds, steps)
+    return _fill_in_order(overlay, layout, bounds, placements)
 
 
 def replay(overlay: Overlay, layout: Layout, steps: tuple[FillStep, ...],
            bounds: Bounds) -> ArrayWindow:
     """Re-execute a step log from the layout seed; raises if any step no longer applies."""
-    window = _seed_window(overlay, layout, bounds)
+    window = _redo_steps(overlay, layout, bounds, steps)
     for step in steps:
-        redone = _solve_single_unknown(window, overlay, step.placement)
-        if redone is None or redone.solved != step.solved:
-            raise ValueError(f"step {step} does not replay against this layout")
-        if redone.value != step.value:
-            raise ValueError(
-                f"replayed value {redone.value!r} differs from logged {step.value!r}")
-    return window.freeze()
+        redone = window.get(*step.solved)
+        if redone != step.value:
+            raise ValueError(f"replayed value {redone!r} differs from logged {step.value!r}")
+    return window
 
 
 # -- diagonal-layout specialization ---------------------------------------
@@ -199,23 +226,6 @@ def _diagonal_stencil_coeffs(overlay: Overlay) -> tuple[Scalar, Scalar, Scalar]:
     return b00, b10, b11
 
 
-def _try_region_solve(window: ArrayWindow, overlay: Overlay, bounds: Bounds,
-                      placement: tuple[int, int], solved: tuple[int, int],
-                      steps: list[FillStep]) -> None:
-    r, c = placement
-    if not (bounds.r_min + overlay.m <= r <= bounds.r_max
-            and bounds.c_min + overlay.n <= c <= bounds.c_max):
-        return
-    if window.get(*solved) is not None:
-        return
-    step = _solve_single_unknown(window, overlay, placement)
-    if step is not None:
-        if step.solved != solved:
-            raise AssertionError(
-                f"region solve at {placement} targeted {step.solved}, expected {solved}")
-        steps.append(step)
-
-
 def fill_diagonal(overlay: Overlay, layout: Layout, bounds: Bounds) -> FillResult:
     """Fill from a diagonal layout by the three-region induction, for the
     3-term stencil b00 + b10*Y + b11*XY (all three nonzero).
@@ -224,40 +234,40 @@ def fill_diagonal(overlay: Overlay, layout: Layout, bounds: Bounds) -> FillResul
     region 2 the rows above row k right-to-left (pivot b11), region 3 the rows
     below row k right-to-left (pivot b00). The induction order is an
     infinite-plane construction; near window edges it can skip cells that are
-    still derivable (the generic engine reaches them with another pivot), so a
-    generic completion pass follows — making the result equal to fill() on the
-    same inputs. The consistency check is the same as fill()'s.
+    still derivable (the generic engine reaches them with another pivot), so
+    its in-window placements are scanned first and every other placement after
+    them row-major. The worklist runs over that order as fill() does over its
+    own, so the result equals fill() on the same inputs.
     """
     _diagonal_stencil_coeffs(overlay)
     if not isinstance(layout.provenance, DiagonalProvenance):
         raise ValueError("fill_diagonal requires a layout with diagonal provenance")
     k = layout.provenance.k
-    window = _seed_window(overlay, layout, bounds)
-    steps: list[FillStep] = []
+    induction: list[tuple[int, int]] = []
 
     # Region 1: cells strictly above the diagonal, by level p = c - r,
     # solving the cell under b10 at placement one row down.
     for p in range(1, bounds.c_max - bounds.r_min + 1):
         for rr in range(bounds.r_min, bounds.r_max + 1):
-            cc = rr + p
-            if bounds.c_min <= cc <= bounds.c_max:
-                _try_region_solve(window, overlay, bounds, (rr + 1, cc), (rr, cc), steps)
+            if bounds.c_min <= rr + p <= bounds.c_max:
+                induction.append((rr + 1, rr + p))
 
     # Region 2: rows above row k, right-to-left below the diagonal,
     # solving the cell under b11 at placement one row down, one column right.
     for rr in range(min(k - 1, bounds.r_max), bounds.r_min - 1, -1):
         for cc in range(min(rr - 1, bounds.c_max), bounds.c_min - 1, -1):
-            _try_region_solve(window, overlay, bounds, (rr + 1, cc + 1), (rr, cc), steps)
+            induction.append((rr + 1, cc + 1))
 
     # Region 3: rows below row k, right-to-left below the diagonal,
     # solving the cell under b00 at its own placement.
     for rr in range(max(k + 1, bounds.r_min), bounds.r_max + 1):
         for cc in range(min(rr - 1, bounds.c_max), bounds.c_min - 1, -1):
-            _try_region_solve(window, overlay, bounds, (rr, cc), (rr, cc), steps)
+            induction.append((rr, cc))
 
-    # Window-edge completion: anything the infinite-plane order missed.
-    _propagate(window, overlay, overlay.placements_within(bounds), steps)
-    return _finish(window, overlay, bounds, steps)
+    in_window = set(overlay.placements_within(bounds))
+    order = [p for p in induction if p in in_window]
+    order += sorted(in_window.difference(order))  # tuple order is row-major
+    return _fill_in_order(overlay, layout, bounds, order)
 
 
 # -- basis arrays and superposition ---------------------------------------
@@ -271,6 +281,16 @@ def basis_array(overlay: Overlay, layout: Layout, at: tuple[int, int],
     return fill(overlay, indicator, bounds).window
 
 
+def _basis_windows(overlay: Overlay, layout: Layout,
+                   bounds: Bounds) -> Iterator[tuple[tuple[int, int], ArrayWindow]]:
+    """(coord, E(coord)) for each layout coordinate, re-solved from one fill's
+    step log: which placement solves which cell depends only on coordinates."""
+    steps = fill(overlay, layout, bounds).steps
+    for coord in layout.coords:
+        indicator = layout.with_values(indicator_values(coord, overlay.field))
+        yield coord, _redo_steps(overlay, indicator, bounds, steps)
+
+
 def superpose(overlay: Overlay, layout: Layout, bounds: Bounds) -> ArrayWindow:
     """Sum of d_(i,j) * E(i,j) over the layout; equals fill(...).window cell-for-cell.
 
@@ -278,11 +298,10 @@ def superpose(overlay: Overlay, layout: Layout, bounds: Bounds) -> ArrayWindow:
     overlay's zero pattern and the coordinate set, never on values), so the
     combination's Known structure matches the direct fill exactly.
     """
-    coords = layout.coords
-    if not coords:
+    if not layout.coords:
         return fill(overlay, layout, bounds).window
-    pairs = [(layout.value_at(coord), basis_array(overlay, layout, coord, bounds))
-             for coord in coords]
+    pairs = [(layout.value_at(coord), e)
+             for coord, e in _basis_windows(overlay, layout, bounds)]
     return window_linear_combine(pairs).freeze()
 
 
@@ -295,13 +314,8 @@ def finite_contribution_report(overlay: Overlay, layout: Layout, bounds: Bounds,
     """
     if not bounds.contains(*at):
         raise ValueError(f"cell {at} outside {bounds}")
-    contributors = []
-    for coord in layout.coords:
-        e = basis_array(overlay, layout, coord, bounds)
-        v = e.get(*at)
-        if v is not None and not v.is_zero():
-            contributors.append((coord, v))
-    return contributors
+    return [(coord, v) for coord, e in _basis_windows(overlay, layout, bounds)
+            if (v := e.get(*at)) is not None and not v.is_zero()]
 
 
 # -- empirical support-region checks --------------------------------------
@@ -352,53 +366,37 @@ class SupportReport:
         return "\n".join(lines) + "\n"
 
 
+# The claimed vanishing regions of E(i, j) for an overlay with shape (m, n): the
+# condition, whether it applies, the region, and whether cell (k, l) lies in it.
+# For example j >= m claims that E(i, j) is zero at every column l < j.
+_SUPPORT_CLAIMS = (
+    ("j>=m", lambda i, j, m, n: j >= m, "l<{j}", lambda i, j, k, l: l < j),
+    ("j<0", lambda i, j, m, n: j < 0, "l>{j}", lambda i, j, k, l: l > j),
+    ("i>=n", lambda i, j, m, n: i >= n, "k<{i}", lambda i, j, k, l: k < i),
+    ("i<0", lambda i, j, m, n: i < 0, "k>{i}", lambda i, j, k, l: k > i),
+)
+
+
 def check_support_cases(overlay: Overlay, layout: Layout, bounds: Bounds) -> SupportReport:
     """Empirically test the claimed vanishing regions of each basis array.
 
-    For a standard layout with coordinates (i, j), the claimed regions are:
-    j >= m: zero at columns l < j;  j < 0: zero at columns l > j;
-    i >= n: zero at rows k < i;     i < 0: zero at rows k > i.
-    Each applicable claim is scanned over the window and confirmations or
+    For a standard layout, each claim of ``_SUPPORT_CLAIMS`` that applies to a
+    coordinate (i, j) is scanned over the window and confirmations or
     counterexamples reported; nothing is assumed.
     """
     if not isinstance(layout.provenance, StandardProvenance):
         raise ValueError("support-case checks are defined for standard layouts")
-    m, n = overlay.m, overlay.n
     results: list[SupportCaseResult] = []
-    for (i, j) in layout.coords:
-        e = basis_array(overlay, layout, (i, j), bounds)
-        claims: list[tuple[str, str]] = []
-        if j >= m:
-            claims.append(("j>=m", f"l<{j}"))
-        if j < 0:
-            claims.append(("j<0", f"l>{j}"))
-        if i >= n:
-            claims.append(("i>=n", f"k<{i}"))
-        if i < 0:
-            claims.append(("i<0", f"k>{i}"))
+    for (i, j), e in _basis_windows(overlay, layout, bounds):
+        claims = [(condition, region, in_region) for condition, applies, region, in_region
+                  in _SUPPORT_CLAIMS if applies(i, j, overlay.m, overlay.n)]
         if not claims:
             results.append(SupportCaseResult((i, j), "none", "", 0, 0, ()))
-            continue
-        for condition, region in claims:
-            checked = 0
-            unknown = 0
-            bad: list[tuple[tuple[int, int], Scalar]] = []
-            for (kk, ll) in bounds.coords():
-                in_region = (
-                    (condition == "j>=m" and ll < j)
-                    or (condition == "j<0" and ll > j)
-                    or (condition == "i>=n" and kk < i)
-                    or (condition == "i<0" and kk > i)
-                )
-                if not in_region:
-                    continue
-                v = e.get(kk, ll)
-                if v is None:
-                    unknown += 1
-                    continue
-                checked += 1
-                if not v.is_zero():
-                    bad.append(((kk, ll), v))
-            results.append(SupportCaseResult((i, j), condition, region,
-                                             checked, unknown, tuple(bad)))
+        for condition, region, in_region in claims:
+            values = [(cell, e.get(*cell)) for cell in bounds.coords()
+                      if in_region(i, j, *cell)]
+            unknown = sum(v is None for _, v in values)
+            bad = tuple((cell, v) for cell, v in values if v is not None and not v.is_zero())
+            results.append(SupportCaseResult((i, j), condition, region.format(i=i, j=j),
+                                             len(values) - unknown, unknown, bad))
     return SupportReport(tuple(results))

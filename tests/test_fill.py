@@ -6,6 +6,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from recur2d import (Bounds, CoordinateNotInLayout, LayoutOutOfWindow, Overlay,
                      RATIONALS, ShapeMismatch, basis_array, check_support_cases,
@@ -15,6 +16,7 @@ from recur2d import (Bounds, CoordinateNotInLayout, LayoutOutOfWindow, Overlay,
                      prime_field, random_values, replay, standard_layout,
                      steps_from_jsonl, steps_to_jsonl, superpose,
                      window_linear_combine, zero_values)
+from recur2d.fill import _finish, _seed_window, _solve_single_unknown
 from conftest import make_random_overlay
 
 
@@ -136,6 +138,8 @@ class TestOrderIndependence:
                              order_seed=seed)
             assert scrambled.window == base.window
             assert scrambled.status == base.status
+            assert replay(example_overlay, lay, scrambled.steps,
+                          example_bounds) == scrambled.window
 
     def test_partial_known_set_is_order_independent(self):
         o = overlay_of("I - Y - X*Y")
@@ -154,6 +158,53 @@ class TestOrderIndependence:
         r2 = fill(example_overlay, lay, example_bounds)
         assert r1.steps == r2.steps
         assert r1.window == r2.window
+
+
+def restart_sweep_fill(overlay, layout, bounds, order_seed=None):
+    """Reference propagator: rescan every placement in order until a sweep
+    solves nothing. The counter worklist must reproduce its step log."""
+    window = _seed_window(overlay, layout, bounds)
+    placements = overlay.placements_within(bounds)
+    if order_seed is not None:
+        random.Random(order_seed).shuffle(placements)
+    steps = []
+    changed = True
+    while changed:
+        changed = False
+        for placement in placements:
+            step = _solve_single_unknown(window, overlay, placement)
+            if step is not None:
+                steps.append(step)
+                changed = True
+    return _finish(window, overlay, bounds, steps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       field=st.sampled_from([RATIONALS, prime_field(7), prime_field(101)]),
+       standard=st.booleans(),
+       order_seed=st.none() | st.integers(0, 10**6))
+def test_worklist_matches_restart_sweep(seed, field, standard, order_seed):
+    rng = random.Random(seed)
+    o = make_random_overlay(rng, field)
+    r0, c0 = rng.randint(-3, 0), rng.randint(-3, 0)
+    b = Bounds(r0, r0 + rng.randint(0, 6), c0, c0 + rng.randint(0, 6))
+    lay = None
+    if standard:
+        try:
+            lay = standard_layout(o, b, rng.randint(b.c_min, b.c_max),
+                                  rng.randint(b.c_min, b.c_max), random_values(seed, field))
+        except LayoutOutOfWindow:   # the window cannot host this overlay's layout
+            pass
+    if lay is None:
+        lay = custom_layout({cell: from_int(rng.randint(-2, 2), field)
+                             for cell in b.coords() if rng.random() < 0.4}, b)
+    got = fill(o, lay, b, order_seed=order_seed)
+    want = restart_sweep_fill(o, lay, b, order_seed)
+    assert steps_to_jsonl(got.steps) == steps_to_jsonl(want.steps)
+    assert got.window == want.window
+    assert (got.status, got.unfilled, got.witness) \
+        == (want.status, want.unfilled, want.witness)
 
 
 class TestStepLog:
@@ -311,6 +362,7 @@ class TestDiagonalFill:
             rg = fill(o, lay, b)
             assert rd.status == rg.status == "complete"
             assert rd.window == rg.window
+            assert replay(o, lay, rd.steps, b) == rd.window
 
     def test_region_pivots_appear_in_log(self):
         o = self._stencil()
