@@ -181,25 +181,36 @@ _SCALAR_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
 _MOD_RE = re.compile(r"^(-?\d+)\s+mod\s+(\d+)$")
 
 
+def read_int(digits: str, pos: int | None = None) -> int:
+    """``int(digits)``, raising ParseError (at ``pos``) where int() refuses:
+    past the interpreter's int/str digit limit (4300 by default), or on a
+    digit character int() does not read."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"cannot read a {len(digits)}-digit integer",
+                         pos=pos) from None
+
+
 def parse_scalar(text: str, fd: FieldDescriptor) -> Scalar:
     """Parse '-?digits(/digits)?' — or the rendered 'r mod p' form — into a Scalar.
 
-    Raises ParseError on malformed text, a zero denominator, or a modulus that
-    does not match ``fd``.
+    Raises ParseError on malformed text, a zero denominator, an integer too
+    long to read, or a modulus that does not match ``fd``.
     """
     text = text.strip()
     m = _MOD_RE.match(text)
     if m is not None:
-        if fd.kind != PRIME_KIND or int(m.group(2)) != fd.p:
+        if fd.kind != PRIME_KIND or read_int(m.group(2)) != fd.p:
             raise ParseError(f"modulus in {text!r} does not match field {fd!r}")
-        return from_int(int(m.group(1)), fd)
+        return from_int(read_int(m.group(1)), fd)
     m = _SCALAR_RE.match(text)
     if m is None:
         raise ParseError(f"not a scalar: {text!r}")
-    numerator = int(m.group(1))
+    numerator = read_int(m.group(1))
     if m.group(2) is None:
         return from_int(numerator, fd)
-    denominator = int(m.group(2))
+    denominator = read_int(m.group(2))
     if denominator == 0:
         raise ParseError(f"zero denominator in {text!r}")
     try:

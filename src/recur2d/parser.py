@@ -8,6 +8,12 @@ Grammar (whitespace insignificant between tokens):
     atom   := number | 'X' | 'Y' | 'I' | '(' expr ')'
     number := digits ('/' digits)?           # one token, no spaces inside
 
+The syntax tree is flat: an expr is a :class:`Sum` of (negated, term) pairs, a
+term a :class:`Product` of factors, and a factor a :class:`Pow` holding its
+base and its whole '^' chain, each built and evaluated by a loop. Only
+parentheses nest, so the tree is as deep as the parentheses, which stop at
+124 levels. A single term, factor or exponent-free base is kept as its child.
+
 Every error is a ParseError carrying the character position and the token
 kinds that would have been acceptable there. Exponents must be non-negative
 integers; '^-' raises NegativeExponentError (a ParseError subclass).
@@ -20,10 +26,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NegativeExponentError, ParseError
-from .field import FieldDescriptor, Scalar, from_fraction, from_int
+from .field import FieldDescriptor, Scalar, parse_scalar, read_int
 from .template import Template, identity, monomial, shift_x, shift_y
 
-_MAX_DEPTH = 500
+# Deepest parenthesis nesting accepted; the 125th open '(' is refused. This
+# bounds the recursion of both the parser and the evaluator.
+_MAX_PARENS = 124
 
 # Token kinds.
 NUMBER, X, Y, IDENT, PLUS, MINUS, STAR, CARET, LPAREN, RPAREN, END = (
@@ -79,51 +87,28 @@ class Const:
 
 
 @dataclass(frozen=True)
-class VarX:
+class Var:
+    kind: str          # X, Y or IDENT
     pos: int
-
-
-@dataclass(frozen=True)
-class VarY:
-    pos: int
-
-
-@dataclass(frozen=True)
-class VarI:
-    pos: int
-
-
-@dataclass(frozen=True)
-class Neg:
-    operand: "Expr"
-
-
-@dataclass(frozen=True)
-class Add:
-    left: "Expr"
-    right: "Expr"
-
-
-@dataclass(frozen=True)
-class Sub:
-    left: "Expr"
-    right: "Expr"
-
-
-@dataclass(frozen=True)
-class Mul:
-    left: "Expr"
-    right: "Expr"
 
 
 @dataclass(frozen=True)
 class Pow:
     base: "Expr"
-    exponent: int
-    pos: int
+    exponents: tuple[tuple[int, int], ...]     # (exponent, caret position)
 
 
-Expr = Const | VarX | VarY | VarI | Neg | Add | Sub | Mul | Pow
+@dataclass(frozen=True)
+class Product:
+    factors: tuple["Expr", ...]
+
+
+@dataclass(frozen=True)
+class Sum:
+    terms: tuple[tuple[bool, "Expr"], ...]     # (negated, term)
+
+
+Expr = Const | Var | Pow | Product | Sum
 
 _ATOM_STARTERS = (NUMBER, X, Y, IDENT, LPAREN)
 
@@ -132,7 +117,8 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.k = 0
-        self.depth = 0
+        self.parens = 0
+        self.consts: list[Const] = []     # in text order
 
     def peek(self) -> Token:
         return self.tokens[self.k]
@@ -149,12 +135,6 @@ class _Parser:
                              expected=(kind,))
         return self.advance()
 
-    def _enter(self) -> None:
-        self.depth += 1
-        if self.depth > _MAX_DEPTH:
-            raise ParseError("expression nests too deeply",
-                             pos=self.peek().pos)
-
     def parse(self) -> Expr:
         node = self.expr()
         tok = self.peek()
@@ -164,107 +144,83 @@ class _Parser:
         return node
 
     def expr(self) -> Expr:
-        self._enter()
-        try:
-            if self.peek().kind == MINUS:
-                self.advance()
-                node: Expr = Neg(self.term())
-            else:
-                node = self.term()
-            while self.peek().kind in (PLUS, MINUS):
-                op = self.advance()
-                right = self.term()
-                node = Add(node, right) if op.kind == PLUS else Sub(node, right)
-            return node
-        finally:
-            self.depth -= 1
+        negated = self.peek().kind == MINUS
+        if negated:
+            self.advance()
+        terms = [(negated, self.term())]
+        while self.peek().kind in (PLUS, MINUS):
+            negated = self.advance().kind == MINUS
+            terms.append((negated, self.term()))
+        if len(terms) == 1 and not negated:
+            return terms[0][1]
+        return Sum(tuple(terms))
 
     def term(self) -> Expr:
-        self._enter()
-        try:
-            node = self.factor()
-            while True:
-                tok = self.peek()
-                if tok.kind == STAR:
-                    self.advance()
-                    node = Mul(node, self.factor())
-                elif tok.kind in _ATOM_STARTERS:   # juxtaposition
-                    node = Mul(node, self.factor())
-                else:
-                    return node
-        finally:
-            self.depth -= 1
+        factors = [self.factor()]
+        while True:
+            tok = self.peek()
+            if tok.kind == STAR:
+                self.advance()
+            elif tok.kind not in _ATOM_STARTERS:    # a starter juxtaposes
+                break
+            factors.append(self.factor())
+        return factors[0] if len(factors) == 1 else Product(tuple(factors))
 
     def factor(self) -> Expr:
-        self._enter()
-        try:
-            node = self.atom()
-            while self.peek().kind == CARET:
-                caret = self.advance()
-                tok = self.peek()
-                if tok.kind == MINUS:
-                    raise NegativeExponentError("exponents must be non-negative",
-                                                pos=tok.pos, expected=(NUMBER,))
-                if tok.kind != NUMBER:
-                    raise ParseError(f"unexpected {tok.kind!r} as exponent",
-                                     pos=tok.pos, expected=(NUMBER,))
-                if "/" in tok.text:
-                    raise ParseError("exponents must be integers", pos=tok.pos,
-                                     expected=(NUMBER,))
-                self.advance()
-                node = Pow(node, int(tok.text), caret.pos)
-            return node
-        finally:
-            self.depth -= 1
+        base = self.atom()
+        exponents = []
+        while self.peek().kind == CARET:
+            caret = self.advance()
+            tok = self.peek()
+            if tok.kind == MINUS:
+                raise NegativeExponentError("exponents must be non-negative",
+                                            pos=tok.pos, expected=(NUMBER,))
+            if tok.kind != NUMBER:
+                raise ParseError(f"unexpected {tok.kind!r} as exponent",
+                                 pos=tok.pos, expected=(NUMBER,))
+            if "/" in tok.text:
+                raise ParseError("exponents must be integers", pos=tok.pos,
+                                 expected=(NUMBER,))
+            self.advance()
+            exponents.append((read_int(tok.text, tok.pos), caret.pos))
+        return Pow(base, tuple(exponents)) if exponents else base
 
     def atom(self) -> Expr:
-        self._enter()
-        try:
-            tok = self.peek()
-            if tok.kind == NUMBER:
-                self.advance()
-                return Const(tok.text, tok.pos)
-            if tok.kind == X:
-                self.advance()
-                return VarX(tok.pos)
-            if tok.kind == Y:
-                self.advance()
-                return VarY(tok.pos)
-            if tok.kind == IDENT:
-                self.advance()
-                return VarI(tok.pos)
-            if tok.kind == LPAREN:
-                self.advance()
-                node = self.expr()
-                self.expect(RPAREN)
-                return node
-            raise ParseError(f"unexpected {tok.kind!r}", pos=tok.pos,
-                             expected=_ATOM_STARTERS)
-        finally:
-            self.depth -= 1
+        tok = self.peek()
+        if tok.kind == NUMBER:
+            self.advance()
+            self.consts.append(Const(tok.text, tok.pos))
+            return self.consts[-1]
+        if tok.kind in (X, Y, IDENT):
+            self.advance()
+            return Var(tok.kind, tok.pos)
+        if tok.kind == LPAREN:
+            self.advance()
+            self.parens += 1
+            if self.parens > _MAX_PARENS:
+                raise ParseError("expression nests too deeply",
+                                 pos=self.peek().pos)
+            node = self.expr()
+            self.expect(RPAREN)
+            self.parens -= 1
+            return node
+        raise ParseError(f"unexpected {tok.kind!r}", pos=tok.pos,
+                         expected=_ATOM_STARTERS)
 
 
 def parse_template_expr(text: str, fd: FieldDescriptor) -> Expr:
-    """Parse to an AST, eagerly validating every numeric literal in the field.
+    """Parse to an AST, then validate every numeric literal in the field.
 
     Validation at parse time keeps diagnostics positioned: a literal like
-    "1/7" over F_7 fails here, pointing at the offending token.
+    "1/7" over F_7 fails here, pointing at the offending token. Literals are
+    checked in text order after the whole text parses, so a syntax error
+    anywhere wins over a bad literal.
     """
-    node = _Parser(tokenize(text)).parse()
-    _validate_consts(node, fd)
+    parser = _Parser(tokenize(text))
+    node = parser.parse()
+    for const in parser.consts:
+        _const_scalar(const, fd)
     return node
-
-
-def _validate_consts(node: Expr, fd: FieldDescriptor) -> None:
-    if isinstance(node, Const):
-        _const_scalar(node, fd)
-    elif isinstance(node, Neg):
-        _validate_consts(node.operand, fd)
-    elif isinstance(node, (Add, Sub, Mul)):
-        _validate_consts(node.left, fd)
-        _validate_consts(node.right, fd)
-    elif isinstance(node, Pow):
-        _validate_consts(node.base, fd)
 
 
 # Expansion budgets for '^'.  Exponents are unbounded in the grammar, so a
@@ -297,40 +253,42 @@ def _check_pow_budget(base: Template, exponent: int, pos: int,
 
 
 def _const_scalar(node: Const, fd: FieldDescriptor) -> Scalar:
-    if "/" in node.text:
-        num, den = node.text.split("/")
-        if int(den) == 0:
-            raise ParseError("denominator is zero", pos=node.pos)
-        try:
-            return from_fraction(int(num), int(den), fd)
-        except ZeroDivisionError:
-            raise ParseError("denominator is zero in this field",
-                             pos=node.pos) from None
-    return from_int(int(node.text), fd)
+    try:
+        return parse_scalar(node.text, fd)
+    except ParseError as e:
+        raise ParseError(str(e), pos=node.pos) from None
+
+
+_VARIABLES = {X: shift_x, Y: shift_y, IDENT: identity}
 
 
 def expr_to_template(node: Expr, fd: FieldDescriptor) -> Template:
-    """Evaluate an AST in the polynomial ring F[X, Y]."""
+    """Evaluate an AST in the polynomial ring F[X, Y].
+
+    Sums, products and '^' chains are folded left to right by loops, so
+    recursion follows only the parentheses.
+    """
     if isinstance(node, Const):
         return monomial(fd, 0, 0, _const_scalar(node, fd))
-    if isinstance(node, VarX):
-        return shift_x(fd)
-    if isinstance(node, VarY):
-        return shift_y(fd)
-    if isinstance(node, VarI):
-        return identity(fd)
-    if isinstance(node, Neg):
-        return -expr_to_template(node.operand, fd)
-    if isinstance(node, Add):
-        return expr_to_template(node.left, fd) + expr_to_template(node.right, fd)
-    if isinstance(node, Sub):
-        return expr_to_template(node.left, fd) - expr_to_template(node.right, fd)
-    if isinstance(node, Mul):
-        return expr_to_template(node.left, fd) * expr_to_template(node.right, fd)
+    if isinstance(node, Var):
+        return _VARIABLES[node.kind](fd)
     if isinstance(node, Pow):
-        base = expr_to_template(node.base, fd)
-        _check_pow_budget(base, node.exponent, node.pos, fd)
-        return base ** node.exponent
+        result = expr_to_template(node.base, fd)
+        for exponent, pos in node.exponents:
+            _check_pow_budget(result, exponent, pos, fd)
+            result = result ** exponent
+        return result
+    if isinstance(node, Product):
+        result = expr_to_template(node.factors[0], fd)
+        for factor in node.factors[1:]:
+            result = result * expr_to_template(factor, fd)
+        return result
+    if isinstance(node, Sum):
+        result = Template(fd)
+        for negated, term in node.terms:
+            value = expr_to_template(term, fd)
+            result = result - value if negated else result + value
+        return result
     raise TypeError(f"unknown expression node {node!r}")
 
 

@@ -18,6 +18,8 @@ Schema (all scalars are JSON integers or strings like "3/4" / "5 mod 7"):
     }
 
 Every rejection is a SchemaError whose pointer names the offending JSON node.
+A window of more than MAX_CELLS cells, or a template whose overlay grid would
+have more, is refused before anything of that size is allocated.
 """
 
 from __future__ import annotations
@@ -38,6 +40,8 @@ from .overlay import Overlay
 from .parser import parse_template
 from .window import Bounds
 
+MAX_CELLS = 1_000_000
+
 
 @dataclass(frozen=True)
 class ProblemSpec:
@@ -51,7 +55,7 @@ def load_problem(path: str) -> ProblemSpec:
     try:
         with open(path, encoding="utf-8") as f:
             text = f.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise SchemaError("", f"cannot read {path}: {e}") from None
     return loads_problem(text)
 
@@ -62,6 +66,9 @@ def loads_problem(text: str) -> ProblemSpec:
     except json.JSONDecodeError as e:
         raise SchemaError("", f"invalid JSON: {e.msg} (line {e.lineno}, "
                           f"column {e.colno})") from None
+    except (ValueError, RecursionError) as e:
+        # an integer past the int/str digit limit, or nesting past the stack
+        raise SchemaError("", f"invalid JSON: {e}") from None
     return _build_spec(doc)
 
 
@@ -129,9 +136,12 @@ def _build_window(doc: dict) -> Bounds:
     _check_keys(node, "/window", keys)
     vals = {k: _require_int(node[k], f"/window/{k}") for k in keys}
     try:
-        return Bounds(vals["r_min"], vals["r_max"], vals["c_min"], vals["c_max"])
+        bounds = Bounds(vals["r_min"], vals["r_max"], vals["c_min"], vals["c_max"])
     except Exception as e:
         raise SchemaError("/window", str(e)) from None
+    if bounds.height * bounds.width > MAX_CELLS:
+        raise SchemaError("/window", f"window of more than {MAX_CELLS} cells")
+    return bounds
 
 
 def _build_overlay(doc: dict, fd: FieldDescriptor) -> Overlay:
@@ -141,6 +151,11 @@ def _build_overlay(doc: dict, fd: FieldDescriptor) -> Overlay:
             raise SchemaError("/template", f"expected a string, got {text!r}")
         try:
             template = parse_template(text, fd)
+            rows = {i for i, _ in template.terms} or {0}
+            cols = {j for _, j in template.terms} or {0}
+            if (max(rows) - min(rows) + 1) * (max(cols) - min(cols) + 1) > MAX_CELLS:
+                raise SchemaError("/template",
+                                  f"overlay grid of more than {MAX_CELLS} cells")
             return Overlay.from_template(template)
         except (ParseError, ZeroTemplateError) as e:
             raise SchemaError("/template", str(e)) from None

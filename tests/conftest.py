@@ -1,8 +1,10 @@
-"""Shared fixtures: the worked-example overlay, reference values, and a
-generator of random overlays usable with standard layouts."""
+"""Shared fixtures: the worked-example overlay, reference values, a
+generator of random overlays usable with standard layouts, and hostile
+problem files that must end in a pointed SchemaError."""
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -13,6 +15,57 @@ from recur2d import (Bounds, FieldDescriptor, Overlay, RATIONALS, Scalar,
                      from_int, parse_template, prime_field, zero)
 
 FIXTURES = Path(__file__).parent / "fixtures"
+WORKED_DOC = json.loads((FIXTURES / "worked_example.json").read_text())
+
+_RAW = "\x00raw\x00"
+
+
+def with_raw(doc, pointer: str, raw: str) -> str:
+    """``doc`` as JSON text with the node at ``pointer`` replaced by ``raw``,
+    verbatim: raw text can hold what json.dumps would not write, such as an
+    integer past the int/str digit limit or nesting past the stack."""
+    if not pointer:
+        return raw
+    doc = json.loads(json.dumps(doc))
+    *path, last = pointer[1:].split("/")
+    node = doc
+    for key in path:
+        node = node[int(key)] if isinstance(node, list) else node[key]
+    node[int(last) if isinstance(node, list) else last] = _RAW
+    return json.dumps(doc).replace(json.dumps(_RAW), raw)
+
+
+def _worked(**overrides) -> str:
+    return json.dumps({**WORKED_DOC, **overrides})
+
+
+# Problem files that once escaped as a traceback: (id, file bytes, pointer of
+# the SchemaError they must end in).
+HOSTILE_FILES = [
+    ("seed-of-5000-digits", with_raw(
+        {**WORKED_DOC, "layout": {"kind": "standard",
+                                  "values": {"generator": "random", "seed": 0}}},
+        "/layout/values/seed", "9" * 5000).encode(), ""),
+    ("json-50000-deep", with_raw(WORKED_DOC, "/template",
+                                 "[" * 50_000 + "]" * 50_000).encode(), ""),
+    ("not-utf8", b"\xff\xfe{\"field\": \x80}", ""),
+    ("literal-of-5000-digits", _worked(template="X + " + "1" * 5000).encode(),
+     "/template"),
+    ("value-of-5000-digits", _worked(layout={
+        "kind": "custom", "values": [{"r": 0, "c": 0, "value": "1" * 5000}]}).encode(),
+     "/layout/values/0/value"),
+    ("overlay-1x3000001-over-F7", _worked(field={"kind": "prime", "p": 7},
+                                          template="X^3000000 - 1").encode(),
+     "/template"),
+    ("overlay-50001x50001-over-Q", _worked(template="Y^50000*X^50000 - 1").encode(),
+     "/template"),
+    ("overlay-50001x50001-over-F7", _worked(field={"kind": "prime", "p": 7},
+                                            template="Y^50000*X^50000 - 1").encode(),
+     "/template"),
+    ("window-of-1e10-cells", _worked(window={
+        "r_min": -1, "r_max": 99_998, "c_min": -1, "c_max": 99_998}).encode(),
+     "/window"),
+]
 
 
 @pytest.fixture

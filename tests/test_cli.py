@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from recur2d.cli import main
-from conftest import FIXTURES
+from conftest import FIXTURES, HOSTILE_FILES
 
 WORKED = str(FIXTURES / "worked_example.json")
 SINGLE = str(FIXTURES / "single_cell.json")
@@ -157,6 +157,18 @@ class TestFailureModes:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "/field/kind" in err
+
+    @pytest.mark.parametrize("name,data,pointer", HOSTILE_FILES,
+                             ids=[case[0] for case in HOSTILE_FILES])
+    def test_hostile_file_exits_1_with_one_error_line(self, tmp_path, capsys,
+                                                      name, data, pointer):
+        path = tmp_path / "spec.json"
+        path.write_bytes(data)
+        assert main(["fill", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {pointer or '/'}: ")
+        assert err.count("\n") == 1
 
     def test_missing_file_exits_1(self, capsys):
         assert main(["fill", "/no/such/file.json"]) == 1

@@ -156,6 +156,13 @@ class TestRenderParse:
         with pytest.raises(ParseError):
             parse_scalar(text, RATIONALS)
 
+    @pytest.mark.parametrize("text", ["1" * 5000, "1/" + "1" * 5000,
+                                      "1" * 5000 + " mod 7"],
+                             ids=["integer", "denominator", "residue"])
+    def test_integer_past_the_digit_limit(self, text):
+        with pytest.raises(ParseError, match="5000-digit"):
+            parse_scalar(text, prime_field(7))
+
     @given(st.fractions())
     def test_render_parse_identity(self, q):
         x = from_fraction(q.numerator, q.denominator, RATIONALS)

@@ -47,6 +47,15 @@ class TestGrammar:
         from recur2d import expr_to_template
         assert expr_to_template(t, RATIONALS).is_zero()
 
+    @pytest.mark.parametrize("text,terms", [
+        ("+".join(["X"] * 5000), {(0, 1): 5000}),
+        ("X" * 5000, {(0, 5000): 1}),
+        ("2Y" + "^1" * 5000, {(1, 0): 2}),
+        ("-" + "-".join(["Y"] * 5000), {(1, 0): -5000}),
+    ], ids=["sum", "product", "carets", "differences"])
+    def test_long_chains_parse_flat(self, text, terms):
+        assert terms_of(text) == terms
+
     def test_prime_field_coefficients_reduce(self):
         f7 = prime_field(7)
         assert terms_of("10*X + 7*Y + I", f7) == {(0, 1): 3, (0, 0): 1}
@@ -89,14 +98,27 @@ class TestDiagnostics:
             parse_template("X + + Y", RATIONALS)
         assert exc.value.pos == 4
 
-    def test_deep_nesting_is_a_parse_error_not_a_crash(self):
-        text = "(" * 600 + "X" + ")" * 600
-        with pytest.raises(ParseError, match="deeply"):
+    @pytest.mark.parametrize("levels", [125, 600])
+    def test_deep_nesting_is_a_parse_error_not_a_crash(self, levels):
+        text = "(" * levels + "X" + ")" * levels
+        with pytest.raises(ParseError, match="deeply") as exc:
             parse_template(text, RATIONALS)
+        assert exc.value.pos == 125    # the token after the 125th '('
 
-    def test_moderate_nesting_is_fine(self):
-        text = "(" * 50 + "X" + ")" * 50
+    @pytest.mark.parametrize("levels", [50, 124])
+    def test_moderate_nesting_is_fine(self, levels):
+        text = "(" * levels + "X" + ")" * levels
         assert terms_of(text) == {(0, 1): 1}
+
+    @pytest.mark.parametrize("text,pos", [
+        ("X + " + "1" * 5000, 4),          # literal
+        ("X^" + "9" * 5000, 2),            # exponent
+        ("2/" + "3" * 5000 + " X", 0),
+    ], ids=["literal", "exponent", "denominator"])
+    def test_integers_past_the_digit_limit_are_positioned_errors(self, text, pos):
+        with pytest.raises(ParseError) as exc:
+            parse_template(text, RATIONALS)
+        assert exc.value.pos == pos
 
     def test_literal_invalid_in_field_rejected_eagerly(self):
         f7 = prime_field(7)
@@ -110,7 +132,8 @@ class TestDiagnostics:
     def test_huge_expansions_are_refused_with_positions(self):
         for text in ["2^999999999",        # megabyte integer
                      "99999^99999",        # likewise, via a wide base
-                     "(X+Y+1)^9999"]:      # tens of millions of terms
+                     "(X+Y+1)^9999",       # tens of millions of terms
+                     "(2X+Y)^3^100"]:      # each power of a chain is checked
             with pytest.raises(ParseError, match="expansion") as exc:
                 parse_template(text, RATIONALS)
             assert exc.value.pos is not None, text

@@ -1,12 +1,14 @@
 """Problem files: loading, validation pointers, layout assembly."""
 
 import json
+import random
 
 import pytest
 
 from recur2d import (Bounds, RATIONALS, SchemaError, StandardProvenance,
                      from_int, load_problem, loads_problem)
-from conftest import FIXTURES
+from recur2d.problem import MAX_CELLS
+from conftest import FIXTURES, HOSTILE_FILES, WORKED_DOC, with_raw
 
 
 def spec_dict(**overrides):
@@ -59,6 +61,16 @@ class TestFixtures:
             loads_problem("{\"field\": }")
         assert exc.value.pointer == ""
         assert "line 1" in str(exc.value)
+
+    @pytest.mark.parametrize("name,data,pointer", HOSTILE_FILES,
+                             ids=[case[0] for case in HOSTILE_FILES])
+    def test_hostile_file_ends_in_pointed_schema_error(self, tmp_path, name,
+                                                       data, pointer):
+        path = tmp_path / "spec.json"
+        path.write_bytes(data)
+        with pytest.raises(SchemaError) as exc:
+            load_problem(path)
+        assert exc.value.pointer == pointer
 
 
 class TestRootShape:
@@ -119,6 +131,11 @@ class TestWindowSection:
         d = spec_dict(window={"r_min": -1, "r_max": 3, "c_min": -1})
         assert pointer_of(d).startswith("/window")
 
+    def test_cell_cap(self):
+        d = spec_dict(window={"r_min": 0, "r_max": 0,
+                              "c_min": -1, "c_max": MAX_CELLS - 1})
+        assert pointer_of(d) == "/window"
+
 
 class TestTemplateAndOverlay:
     def test_template_parse_error_pointer(self):
@@ -126,6 +143,14 @@ class TestTemplateAndOverlay:
 
     def test_zero_template_pointer(self):
         assert pointer_of(spec_dict(template="X - X")) == "/template"
+
+    def test_overlay_cell_cap(self):
+        # 1 x (MAX_CELLS + 1) grid, refused before Overlay allocates it
+        d = spec_dict(field={"kind": "prime", "p": 7},
+                      template=f"X^{MAX_CELLS} - I")
+        with pytest.raises(SchemaError, match="overlay grid") as exc:
+            load_dict(d)
+        assert exc.value.pointer == "/template"
 
     def test_overlay_grid_route(self, example_overlay):
         d = spec_dict()
@@ -263,3 +288,70 @@ class TestExplicitValues:
             {"r": 0, "c": 1, "value": 0}]))
         with pytest.raises(SchemaError):
             load_dict(d)
+
+
+class TestFuzz:
+    """Fixture documents with one node replaced by hostile JSON text end in a
+    ProblemSpec or a SchemaError, never in another exception."""
+
+    MUTATIONS = [
+        # long integers
+        "9" * 5000, "-" + "1" * 4301, "1" * 4300, "-" + "7" * 4300, "10" * 40,
+        # long templates
+        *(json.dumps(t) for t in [
+            "+".join(["X"] * 5000), "X" * 5000, "X" + "^1" * 5000,
+            "X + " + "1" * 5000, "1/" + "3" * 5000 + " X + Y",
+            "(" * 124 + "X" + ")" * 124, "(" * 5000 + "X" + ")" * 5000,
+            # huge exponents
+            "X^3000000 - 1", "Y^50000*X^50000 - 1", "2^" + "9" * 5000,
+            "X^" + "9" * 4000 + " - 1", "(X+Y+1)^9999", "99999^99999 X + Y",
+            "X^2^3^4^5^6 - I"]),
+        # deep nesting
+        "[" * 50_000 + "]" * 50_000, '{"a": ' * 5000 + "1" + "}" * 5000,
+        "[" * 900 + "]" * 900,
+        # huge windows
+        json.dumps({"r_min": -1, "r_max": 99_998, "c_min": -1, "c_max": 99_998}),
+        json.dumps({"r_min": -10**18, "r_max": 10**18, "c_min": 0, "c_max": 0}),
+        '{"r_min": -' + "9" * 4300 + ', "r_max": 0, "c_min": 0, "c_max": 0}',
+        "10000000", "-10000000",
+        # odd scalars and shapes
+        '"1/0"', '"5 mod 7"', '"' + "1" * 5000 + '"', '"1/' + "2" * 5000 + '"',
+        '"\u00b2"', "null", "true", "1.5", "{}", "[]", '""', "[[1]]",
+    ]
+
+    DOCS = [
+        WORKED_DOC,
+        json.loads((FIXTURES / "single_cell.json").read_text()),
+        spec_dict(field={"kind": "prime", "p": 7}, template="2*I + 3*Y + 5*X*Y",
+                  layout={"kind": "diagonal", "params": {"k": 3},
+                          "values": {"generator": "random", "seed": 1}},
+                  window={"r_min": 0, "r_max": 3, "c_min": 0, "c_max": 3}),
+        spec_dict(layout={"kind": "custom",
+                          "params": {"coords": [[0, 0], [0, 1]]},
+                          "values": [{"r": 0, "c": 0, "value": 4},
+                                     {"r": 0, "c": 1, "value": "1/3"}]}),
+        spec_dict(layout={"kind": "standard",
+                          "values": {"generator": "indicator", "at": [0, 2]}}),
+    ]
+
+    @staticmethod
+    def pointers(node, prefix=""):
+        yield prefix
+        items = (node.items() if isinstance(node, dict)
+                 else enumerate(node) if isinstance(node, list) else ())
+        for key, child in items:
+            yield from TestFuzz.pointers(child, f"{prefix}/{key}")
+
+    def test_mutated_fixtures_end_in_spec_or_schema_error(self):
+        rng = random.Random(20261018)
+        loaded = refused = 0
+        for _ in range(2000):
+            doc = rng.choice(self.DOCS)
+            pointer = rng.choice(list(self.pointers(doc)))
+            text = with_raw(doc, pointer, rng.choice(self.MUTATIONS))
+            try:
+                loads_problem(text)
+                loaded += 1
+            except SchemaError:
+                refused += 1
+        assert loaded > 0 and refused > 0
