@@ -1,9 +1,14 @@
 """Exact field arithmetic: arbitrary-precision rationals and prime fields.
 
-Every value the engine computes is a :class:`Scalar` — either a
+Every value the engine returns is a :class:`Scalar` — either a
 ``fractions.Fraction`` in canonical lowest terms, or a residue in [0, p) for a
 prime p. Arithmetic is exact; there is no floating-point mode. Scalars are
 immutable and combinable only within one field.
+
+A Scalar's payload is its raw value. The engine's inner loops (the fill
+worklist and the oracle's elimination) add and multiply payloads directly and
+bring each result back into the field with :meth:`FieldDescriptor.reduce`; a
+payload's inverse is ``pow(x, -1, fd.p)``, since ``p`` is None over Q.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ def is_prime(n: int) -> bool:
     """Miller-Rabin primality test (deterministic for any modulus of practical size)."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d, s = n - 1, 0
@@ -68,6 +73,10 @@ class FieldDescriptor:
             return "Q"
         return f"F_{self.p}"
 
+    def reduce(self, x):
+        """The canonical payload of ``x``: ``x`` itself over Q, ``x % p`` over GF(p)."""
+        return x if self.p is None else x % self.p
+
 
 RATIONALS = FieldDescriptor(RATIONAL_KIND)
 
@@ -97,32 +106,22 @@ class Scalar:
 
     def __add__(self, other: "Scalar") -> "Scalar":
         _check_same_field(self, other)
-        if self.field.kind == RATIONAL_KIND:
-            return Scalar(self.field, self.value + other.value)
-        return Scalar(self.field, (self.value + other.value) % self.field.p)
+        return Scalar(self.field, self.field.reduce(self.value + other.value))
 
     def __sub__(self, other: "Scalar") -> "Scalar":
         _check_same_field(self, other)
-        if self.field.kind == RATIONAL_KIND:
-            return Scalar(self.field, self.value - other.value)
-        return Scalar(self.field, (self.value - other.value) % self.field.p)
+        return Scalar(self.field, self.field.reduce(self.value - other.value))
 
     def __mul__(self, other: "Scalar") -> "Scalar":
         _check_same_field(self, other)
-        if self.field.kind == RATIONAL_KIND:
-            return Scalar(self.field, self.value * other.value)
-        return Scalar(self.field, (self.value * other.value) % self.field.p)
+        return Scalar(self.field, self.field.reduce(self.value * other.value))
 
     def __neg__(self) -> "Scalar":
-        if self.field.kind == RATIONAL_KIND:
-            return Scalar(self.field, -self.value)
-        return Scalar(self.field, (-self.value) % self.field.p)
+        return Scalar(self.field, self.field.reduce(-self.value))
 
     def inverse(self) -> "Scalar":
         if self.value == 0:
             raise DivisionByZero("zero has no inverse")
-        if self.field.kind == RATIONAL_KIND:
-            return Scalar(self.field, 1 / self.value)
         return Scalar(self.field, pow(self.value, -1, self.field.p))
 
     def __truediv__(self, other: "Scalar") -> "Scalar":

@@ -8,10 +8,13 @@ pivot coefficient. The engine is a counter worklist (Dowling & Gallier, J.
 Logic Programming 1984): each placement counts its Unknown cells and is visited
 when the count reaches one, in the order a restart scan (rescanning the
 placement list until a sweep solves nothing) would solve it, so the step log is
-that scan's.
+that scan's. It works on a flat row-major list of raw field payloads (None for
+Unknown), reducing each solved value with ``FieldDescriptor.reduce``; Scalars
+are built only for the returned steps and window.
 
-After the fixpoint every placement whose cells are all Known is re-checked;
-a nonzero residual makes the result Inconsistent with that placement as the
+After the fixpoint every fully-Known placement that solved no cell is
+re-checked (a solving placement's residual is zero by construction); a
+nonzero residual makes the result Inconsistent with that placement as the
 witness. Otherwise the result is Complete, or Partial with the list of cells
 no in-window chain of solves can reach. Cells whose stencil would exit the
 window are never extrapolated.
@@ -29,13 +32,14 @@ import random
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import CoordinateNotInLayout, LayoutOutOfWindow, ShapeMismatch
-from .field import FieldDescriptor, Scalar, parse_scalar, zero
+from .errors import (CoordinateNotInLayout, LayoutOutOfWindow, MixedFieldError,
+                     ShapeMismatch)
+from .field import FieldDescriptor, Scalar, parse_scalar
 from .layout import (DiagonalProvenance, Layout, StandardProvenance,
                      indicator_values)
 from .oracle import INCONSISTENT
 from .overlay import Overlay
-from .window import ArrayWindow, Bounds, window_linear_combine
+from .window import ArrayWindow, Bounds, window_from_cells, window_linear_combine
 
 COMPLETE = "complete"
 PARTIAL = "partial"
@@ -82,35 +86,45 @@ def steps_from_jsonl(text: str, fd: FieldDescriptor) -> tuple[FillStep, ...]:
     return tuple(steps)
 
 
-def _seed_window(overlay: Overlay, layout: Layout, bounds: Bounds) -> ArrayWindow:
-    window = ArrayWindow(bounds, overlay.field)
+def _index(bounds: Bounds, r: int, c: int) -> int:
+    """Row-major flat index of in-window cell (r, c)."""
+    return (r - bounds.r_min) * bounds.width + c - bounds.c_min
+
+
+def _seed(overlay: Overlay, layout: Layout, bounds: Bounds) -> tuple[list, list[tuple]]:
+    """The window as a flat row-major list of payloads (None for Unknown), and
+    the stencil: (flat offset, coefficient, -1/coefficient, grid index (i, j))
+    per nonzero coefficient. Cell (r - i, c - j) of an in-window placement
+    (r, c) lies at that offset from the placement's flat index."""
+    cells = [None] * (bounds.height * bounds.width)
     for coord, value in layout.prescribed.items():
         if not bounds.contains(*coord):
             raise LayoutOutOfWindow(f"layout coordinate {coord} outside {bounds}")
-        window.set(*coord, value)
-    return window
+        if value.field != overlay.field:
+            raise MixedFieldError(f"cell value field {value.field!r} does not match "
+                                  f"window field {overlay.field!r}")
+        cells[_index(bounds, *coord)] = value.value
+    return cells, [(-(i * bounds.width + j), b.value, pow(-b.value, -1, b.field.p), (i, j))
+                   for i, j, b in overlay.nonzero_cells()]
 
 
-def _solve_single_unknown(window: ArrayWindow, overlay: Overlay,
-                          placement: tuple[int, int]) -> FillStep | None:
-    """Solve the placement's equation if exactly one Unknown cell carries it."""
-    r, c = placement
-    unknown: tuple[int, int] | None = None
-    pivot: Scalar | None = None
-    rest = zero(overlay.field)
-    for (cr, cc), coeff in overlay.placement_equation(r, c):
-        v = window.get(cr, cc)
+def _equation(cells: list, stencil: list[tuple], at: int) -> tuple[list[tuple], object]:
+    """The Unknown stencil entries of the placement at flat index ``at``, and
+    the unreduced sum of its Known terms."""
+    unknown = []
+    known = 0
+    for entry in stencil:
+        v = cells[at + entry[0]]
         if v is None:
-            if unknown is not None:
-                return None
-            unknown, pivot = (cr, cc), coeff
+            unknown.append(entry)
         else:
-            rest = rest + coeff * v
-    if unknown is None or pivot is None:
-        return None
-    value = rest / (-pivot)
-    window.set(*unknown, value)
-    return FillStep(placement, unknown, (r - unknown[0], c - unknown[1]), value)
+            known += entry[1] * v
+    return unknown, known
+
+
+def _window(fd: FieldDescriptor, bounds: Bounds, cells: list) -> ArrayWindow:
+    known = {coord: Scalar(fd, v) for coord, v in zip(bounds.coords(), cells) if v is not None}
+    return window_from_cells(bounds, fd, known).freeze()
 
 
 def _fill_in_order(overlay: Overlay, layout: Layout, bounds: Bounds,
@@ -120,69 +134,59 @@ def _fill_in_order(overlay: Overlay, layout: Layout, bounds: Bounds,
     (sweep, position), in the current sweep if it lies after the solve that
     readied it, else in the next; one whose count has since reached zero is
     skipped, as the scan would skip it."""
-    window = _seed_window(overlay, layout, bounds)
-    position = {placement: k for k, placement in enumerate(placements)}
-    offsets = [(i, j) for i, j, _ in overlay.nonzero_cells()]
-    unknowns = [sum(window.get(r - i, c - j) is None for i, j in offsets)
-                for r, c in placements]
+    fd = overlay.field
+    cells, stencil = _seed(overlay, layout, bounds)
+    at = [_index(bounds, r, c) for r, c in placements]
+    position = {x: k for k, x in enumerate(at)}
+    unknowns = [len(_equation(cells, stencil, x)[0]) for x in at]
     ready = [(0, k) for k, count in enumerate(unknowns) if count == 1]  # sorted: a heap
     steps: list[FillStep] = []
     while ready:
         sweep, k = heapq.heappop(ready)
         if unknowns[k] != 1:
             continue
-        step = _solve_single_unknown(window, overlay, placements[k])
-        steps.append(step)
-        r, c = step.solved
-        for i, j in offsets:
-            q = position.get((r + i, c + j))
+        [(offset, _, neg_inv, pivot)], known = _equation(cells, stencil, at[k])
+        cell = at[k] + offset
+        cells[cell] = value = fd.reduce(known * neg_inv)
+        r, c = placements[k]
+        steps.append(FillStep((r, c), (r - pivot[0], c - pivot[1]), pivot, Scalar(fd, value)))
+        for entry in stencil:
+            q = position.get(cell - entry[0])
             if q is not None:
                 unknowns[q] -= 1
                 if unknowns[q] == 1:
                     heapq.heappush(ready, (sweep if q > k else sweep + 1, q))
-    return _finish(window, overlay, bounds, steps)
+
+    # A placement that solved a cell has residual zero by construction.
+    solving = {step.placement for step in steps}
+    witness = None
+    for placement in overlay.placements_within(bounds):
+        if placement not in solving:
+            unknown, known = _equation(cells, stencil, _index(bounds, *placement))
+            if not unknown and fd.reduce(known) != 0:
+                witness = placement
+                break
+    unfilled = tuple(coord for coord, v in zip(bounds.coords(), cells) if v is None)
+    status = INCONSISTENT if witness is not None else PARTIAL if unfilled else COMPLETE
+    return FillResult(_window(fd, bounds, cells), status, tuple(steps), unfilled, witness)
 
 
 def _redo_steps(overlay: Overlay, layout: Layout, bounds: Bounds,
                 steps: tuple[FillStep, ...]) -> ArrayWindow:
     """Seed the window from ``layout`` and re-solve each logged placement in
-    order; raises ValueError when one no longer solves its logged cell."""
-    window = _seed_window(overlay, layout, bounds)
+    order; raises ValueError when one lies off the window or no longer solves
+    its logged cell."""
+    cells, stencil = _seed(overlay, layout, bounds)
     for step in steps:
-        redone = _solve_single_unknown(window, overlay, step.placement)
-        if redone is None or redone.solved != step.solved:
+        r, c = step.placement
+        if not (bounds.contains(r, c) and bounds.contains(r - overlay.m, c - overlay.n)):
+            raise ValueError(f"step {step} places the overlay off {bounds}")
+        at = _index(bounds, r, c)
+        unknown, known = _equation(cells, stencil, at)
+        if [(r - i, c - j) for *_, (i, j) in unknown] != [step.solved]:
             raise ValueError(f"step {step} does not replay against this layout")
-    return window.freeze()
-
-
-def _consistency_witness(window: ArrayWindow, overlay: Overlay,
-                         bounds: Bounds) -> tuple[int, int] | None:
-    """First (row-major) fully-Known placement whose equation has a nonzero residual."""
-    for placement in overlay.placements_within(bounds):
-        residual = zero(overlay.field)
-        fully_known = True
-        for (cr, cc), coeff in overlay.placement_equation(*placement):
-            v = window.get(cr, cc)
-            if v is None:
-                fully_known = False
-                break
-            residual = residual + coeff * v
-        if fully_known and not residual.is_zero():
-            return placement
-    return None
-
-
-def _finish(window: ArrayWindow, overlay: Overlay, bounds: Bounds,
-            steps: list[FillStep]) -> FillResult:
-    witness = _consistency_witness(window, overlay, bounds)
-    unfilled = tuple(window.unknown_coords())
-    if witness is not None:
-        status = INCONSISTENT
-    elif unfilled:
-        status = PARTIAL
-    else:
-        status = COMPLETE
-    return FillResult(window.freeze(), status, tuple(steps), unfilled, witness)
+        cells[at + unknown[0][0]] = overlay.field.reduce(known * unknown[0][2])
+    return _window(overlay.field, bounds, cells)
 
 
 def fill(overlay: Overlay, layout: Layout, bounds: Bounds, *,
@@ -212,20 +216,6 @@ def replay(overlay: Overlay, layout: Layout, steps: tuple[FillStep, ...],
 
 # -- diagonal-layout specialization ---------------------------------------
 
-def _diagonal_stencil_coeffs(overlay: Overlay) -> tuple[Scalar, Scalar, Scalar]:
-    """The (b00, b10, b11) of the 3-term stencil b00 + b10*Y + b11*XY, or ShapeMismatch."""
-    if overlay.m != 1 or overlay.n != 1:
-        raise ShapeMismatch("diagonal fill needs a 2x2 overlay (template b00 + b10*Y + b11*XY)")
-    b00 = overlay.coefficient(0, 0)
-    b01 = overlay.coefficient(0, 1)
-    b10 = overlay.coefficient(1, 0)
-    b11 = overlay.coefficient(1, 1)
-    if b00.is_zero() or b10.is_zero() or b11.is_zero() or not b01.is_zero():
-        raise ShapeMismatch(
-            "diagonal fill needs b00, b10, b11 all nonzero and no plain-X term")
-    return b00, b10, b11
-
-
 def fill_diagonal(overlay: Overlay, layout: Layout, bounds: Bounds) -> FillResult:
     """Fill from a diagonal layout by the three-region induction, for the
     3-term stencil b00 + b10*Y + b11*XY (all three nonzero).
@@ -239,7 +229,11 @@ def fill_diagonal(overlay: Overlay, layout: Layout, bounds: Bounds) -> FillResul
     them row-major. The worklist runs over that order as fill() does over its
     own, so the result equals fill() on the same inputs.
     """
-    _diagonal_stencil_coeffs(overlay)
+    if overlay.m != 1 or overlay.n != 1:
+        raise ShapeMismatch("diagonal fill needs a 2x2 overlay (template b00 + b10*Y + b11*XY)")
+    b = overlay.coefficient
+    if not (b(0, 0) and b(1, 0) and b(1, 1)) or b(0, 1):
+        raise ShapeMismatch("diagonal fill needs b00, b10, b11 all nonzero and no plain-X term")
     if not isinstance(layout.provenance, DiagonalProvenance):
         raise ValueError("fill_diagonal requires a layout with diagonal provenance")
     k = layout.provenance.k

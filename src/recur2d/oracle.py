@@ -4,7 +4,10 @@ A window, an overlay, and a layout define a linear system: one variable per
 window cell, one homogeneous equation per in-window placement, and one
 inhomogeneous pinning equation per prescribed layout cell. Gauss-Jordan
 elimination over the exact field classifies the system as having a unique
-solution, many solutions, or none, and extracts the solved values.
+solution, many solutions, or none, and extracts the solved values. The
+system's rows are Scalars; elimination copies their raw payloads into
+augmented rows, reducing with ``FieldDescriptor.reduce``, and wraps only the
+values it returns.
 
 This module never calls the constructive fill engine; it builds its equations
 directly from the overlay and layout, so agreement between the two routes is
@@ -89,56 +92,40 @@ def assemble_system(overlay: Overlay, layout: Layout, bounds: Bounds) -> LinearS
     return LinearSystem(variables, rows, rhs, provenance, field)
 
 
-def _eliminate(system: LinearSystem, track_combo: bool):
-    """Gauss-Jordan to reduced row echelon form.
+def _eliminate(system: LinearSystem, track_combo: bool) -> tuple[list[list], list[int]]:
+    """Gauss-Jordan to reduced row echelon form on raw payloads.
 
-    Returns (a, b, combo, pivot_col_of_row, row_of_pivot_col, rank). The
-    ``combo`` matrix expresses each working row as a combination of original
-    rows; tracking it doubles the arithmetic, so it is skipped unless the
-    caller needs an inconsistency certificate.
+    Each working row is augmented as [coefficients | rhs | combination], the
+    combination expressing it over the original rows; tracking it multiplies
+    the arithmetic, so it is left out unless the caller needs an
+    inconsistency certificate. Returns the reduced rows and the pivot column
+    of each of the first rank rows.
     """
-    field = system.field
+    reduce = system.field.reduce
     nrows = len(system.rows)
-    nvars = len(system.variables)
-    zero_s = zero(field)
-    one_s = one(field)
-    a = [list(row) for row in system.rows]
-    b = list(system.rhs)
-    combo = ([[one_s if i == j else zero_s for j in range(nrows)]
-              for i in range(nrows)] if track_combo else None)
-
-    pivot_col_of_row: list[int] = []
-    row_of_pivot_col: dict[int, int] = {}
-    rank = 0
-    for col in range(nvars):
-        pivot_row = next((i for i in range(rank, nrows) if not a[i][col].is_zero()), None)
+    zero_v, one_v = zero(system.field).value, one(system.field).value
+    rows = [[x.value for x in row] + [b.value]
+            + ([one_v if i == k else zero_v for k in range(nrows)] if track_combo else [])
+            for i, (row, b) in enumerate(zip(system.rows, system.rhs))]
+    pivots: list[int] = []
+    for col in range(len(system.variables)):
+        rank = len(pivots)
+        pivot_row = next((i for i in range(rank, nrows) if rows[i][col]), None)
         if pivot_row is None:
             continue
-        a[rank], a[pivot_row] = a[pivot_row], a[rank]
-        b[rank], b[pivot_row] = b[pivot_row], b[rank]
-        if combo is not None:
-            combo[rank], combo[pivot_row] = combo[pivot_row], combo[rank]
-        if a[rank][col] != one_s:
-            inv = a[rank][col].inverse()
-            a[rank] = [x if x.is_zero() else x * inv for x in a[rank]]
-            b[rank] = b[rank] * inv
-            if combo is not None:
-                combo[rank] = [x if x.is_zero() else x * inv for x in combo[rank]]
-        for i in range(nrows):
-            if i != rank and not a[i][col].is_zero():
-                factor = a[i][col]
-                a[i] = [x if y.is_zero() else x - factor * y
-                        for x, y in zip(a[i], a[rank])]
-                b[i] = b[i] - factor * b[rank]
-                if combo is not None:
-                    combo[i] = [x if y.is_zero() else x - factor * y
-                                for x, y in zip(combo[i], combo[rank])]
-        pivot_col_of_row.append(col)
-        row_of_pivot_col[col] = rank
-        rank += 1
-        if rank == nrows:
+        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
+        top = rows[rank]
+        if top[col] != 1:
+            inv = pow(top[col], -1, system.field.p)
+            top = rows[rank] = [reduce(x * inv) if x else x for x in top]
+        for i, row in enumerate(rows):
+            factor = row[col]
+            if i != rank and factor:
+                rows[i] = [reduce(x - factor * y) if y else x for x, y in zip(row, top)]
+        pivots.append(col)
+        if len(pivots) == nrows:
             break
-    return a, b, combo, pivot_col_of_row, row_of_pivot_col, rank
+    return rows, pivots
 
 
 def classify_and_solve(system: LinearSystem) -> OracleResult:
@@ -147,29 +134,25 @@ def classify_and_solve(system: LinearSystem) -> OracleResult:
     An inconsistent system is re-eliminated with combination tracking so the
     result carries a certificate checkable against the original rows alone.
     """
-    nrows = len(system.rows)
+    field = system.field
     nvars = len(system.variables)
-    a, b, _, pivot_col_of_row, row_of_pivot_col, rank = _eliminate(system, False)
+    rows, pivots = _eliminate(system, False)
 
-    bad_row = next((i for i in range(rank, nrows) if not b[i].is_zero()), None)
-    if bad_row is not None:
-        _, b2, combo, _, _, rank2 = _eliminate(system, True)
-        i = next(i for i in range(rank2, nrows) if not b2[i].is_zero())
-        return OracleResult(INCONSISTENT,
-                            certificate=Certificate(tuple(combo[i]), b2[i]))
+    if any(row[nvars] for row in rows[len(pivots):]):
+        rows, pivots = _eliminate(system, True)
+        bad = next(row for row in rows[len(pivots):] if row[nvars])
+        return OracleResult(INCONSISTENT, certificate=Certificate(
+            tuple(Scalar(field, x) for x in bad[nvars + 1:]), Scalar(field, bad[nvars])))
 
-    if rank == nvars:
-        assignment = {system.variables[col]: b[row_of_pivot_col[col]]
-                      for col in range(nvars)}
-        return OracleResult(UNIQUE, assignment=assignment)
+    if len(pivots) == nvars:   # then row k pivots on column k
+        return OracleResult(UNIQUE, assignment={
+            var: Scalar(field, row[nvars]) for var, row in zip(system.variables, rows)})
 
-    free_cols = [col for col in range(nvars) if col not in row_of_pivot_col]
+    free_cols = sorted(set(range(nvars)).difference(pivots))
     # A pivot variable is forced (same value in every solution) iff its row
     # has zero coefficients on all free columns.
-    forced: dict[tuple[int, int], Scalar] = {}
-    for row, col in enumerate(pivot_col_of_row):
-        if all(a[row][f].is_zero() for f in free_cols):
-            forced[system.variables[col]] = b[row]
+    forced = {system.variables[col]: Scalar(field, row[nvars])
+              for row, col in zip(rows, pivots) if not any(row[f] for f in free_cols)}
     return OracleResult(UNDERDETERMINED, forced=forced,
                         free_witness=system.variables[free_cols[0]])
 

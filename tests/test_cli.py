@@ -1,11 +1,14 @@
 """The recur2d command line: subcommands, formats, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import recur2d
 from recur2d.cli import main
 from conftest import FIXTURES, HOSTILE_FILES
 
@@ -175,8 +178,10 @@ class TestFailureModes:
         assert "error:" in capsys.readouterr().err
 
     def test_console_script_entry_point(self):
+        # The child process imports the package these tests import.
+        env = {**os.environ, "PYTHONPATH": str(Path(recur2d.__file__).parents[1])}
         proc = subprocess.run(
             [sys.executable, "-m", "recur2d.cli", "validate", SINGLE],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert proc.stdout.strip() == "unique"

@@ -8,15 +8,16 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from recur2d import (Bounds, CoordinateNotInLayout, LayoutOutOfWindow, Overlay,
-                     RATIONALS, ShapeMismatch, basis_array, check_support_cases,
-                     custom_layout, delta_values, diagonal_layout,
-                     fill, fill_diagonal, finite_contribution_report, from_int,
-                     from_fraction, indicator_values, parse_template,
-                     prime_field, random_values, replay, standard_layout,
-                     steps_from_jsonl, steps_to_jsonl, superpose,
-                     window_linear_combine, zero_values)
-from recur2d.fill import _finish, _seed_window, _solve_single_unknown
+from recur2d import (ArrayWindow, Bounds, COMPLETE, CoordinateNotInLayout,
+                     FillResult, FillStep, INCONSISTENT, LayoutOutOfWindow,
+                     Overlay, PARTIAL, RATIONALS, ShapeMismatch, basis_array,
+                     check_support_cases, custom_layout, delta_values,
+                     diagonal_layout, fill, fill_diagonal,
+                     finite_contribution_report, from_int, from_fraction,
+                     indicator_values, parse_template, prime_field,
+                     random_values, replay, standard_layout, steps_from_jsonl,
+                     steps_to_jsonl, superpose, window_linear_combine, zero,
+                     zero_values)
 from conftest import make_random_overlay
 
 
@@ -160,6 +161,68 @@ class TestOrderIndependence:
         assert r1.window == r2.window
 
 
+# -- the Scalar reference propagator -----------------------------------------
+# An independent restart scan over ArrayWindow and Scalar arithmetic; the
+# engine's raw-payload worklist must reproduce its step log, window and status.
+
+def _seed_window(overlay, layout, bounds):
+    window = ArrayWindow(bounds, overlay.field)
+    for coord, value in layout.prescribed.items():
+        if not bounds.contains(*coord):
+            raise LayoutOutOfWindow(f"layout coordinate {coord} outside {bounds}")
+        window.set(*coord, value)
+    return window
+
+
+def _solve_single_unknown(window, overlay, placement):
+    """Solve the placement's equation if exactly one Unknown cell carries it."""
+    r, c = placement
+    unknown = None
+    pivot = None
+    rest = zero(overlay.field)
+    for (cr, cc), coeff in overlay.placement_equation(r, c):
+        v = window.get(cr, cc)
+        if v is None:
+            if unknown is not None:
+                return None
+            unknown, pivot = (cr, cc), coeff
+        else:
+            rest = rest + coeff * v
+    if unknown is None or pivot is None:
+        return None
+    value = rest / (-pivot)
+    window.set(*unknown, value)
+    return FillStep(placement, unknown, (r - unknown[0], c - unknown[1]), value)
+
+
+def _consistency_witness(window, overlay, bounds):
+    """First (row-major) fully-Known placement whose equation has a nonzero residual."""
+    for placement in overlay.placements_within(bounds):
+        residual = zero(overlay.field)
+        fully_known = True
+        for (cr, cc), coeff in overlay.placement_equation(*placement):
+            v = window.get(cr, cc)
+            if v is None:
+                fully_known = False
+                break
+            residual = residual + coeff * v
+        if fully_known and not residual.is_zero():
+            return placement
+    return None
+
+
+def _finish(window, overlay, bounds, steps):
+    witness = _consistency_witness(window, overlay, bounds)
+    unfilled = tuple(window.unknown_coords())
+    if witness is not None:
+        status = INCONSISTENT
+    elif unfilled:
+        status = PARTIAL
+    else:
+        status = COMPLETE
+    return FillResult(window.freeze(), status, tuple(steps), unfilled, witness)
+
+
 def restart_sweep_fill(overlay, layout, bounds, order_seed=None):
     """Reference propagator: rescan every placement in order until a sweep
     solves nothing. The counter worklist must reproduce its step log."""
@@ -205,6 +268,50 @@ def test_worklist_matches_restart_sweep(seed, field, standard, order_seed):
     assert got.window == want.window
     assert (got.status, got.unfilled, got.witness) \
         == (want.status, want.unfilled, want.witness)
+    assert replay(o, lay, got.steps, b) == want.window
+    # An inconsistent fill's values depend on the scan order; superpose
+    # re-solves the row-major fill's log.
+    row_major = want if order_seed is None else restart_sweep_fill(o, lay, b)
+    assert superpose(o, lay, b) == row_major.window
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), standard=st.booleans())
+def test_rational_fill_reduces_mod_p(seed, standard):
+    # Integer coefficients in [-4, 4] are nonzero mod 101, so both fills see
+    # the same zero pattern and solve the same cells in the same order; every
+    # denominator is a product of pivots, hence invertible mod 101.
+    f101 = prime_field(101)
+    rng = random.Random(seed)
+    o = make_random_overlay(rng, RATIONALS)
+    o101 = Overlay(f101, [[from_int(int(o.coefficient(i, j).value), f101)
+                           for j in range(o.n + 1)] for i in range(o.m + 1)])
+    r0, c0 = rng.randint(-3, 0), rng.randint(-3, 0)
+    b = Bounds(r0, r0 + rng.randint(0, 6), c0, c0 + rng.randint(0, 6))
+    ints = {cell: rng.randint(-5, 5) for cell in b.coords()}
+    a, d = rng.randint(b.c_min, b.c_max), rng.randint(b.c_min, b.c_max)
+    kept = {cell for cell in b.coords() if rng.random() < 0.4}
+
+    def fill_over(overlay):
+        fd = overlay.field
+        try:
+            if standard:
+                lay = standard_layout(overlay, b, a, d, lambda cell: from_int(ints[cell], fd))
+                return fill(overlay, lay, b)
+        except LayoutOutOfWindow:   # the window cannot host this overlay's layout
+            pass
+        return fill(overlay, custom_layout({cell: from_int(ints[cell], fd)
+                                            for cell in kept}, b), b)
+
+    q, p = fill_over(o), fill_over(o101)
+    assert [(x.placement, x.solved, x.pivot) for x in q.steps] \
+        == [(x.placement, x.solved, x.pivot) for x in p.steps]
+    assert q.unfilled == p.unfilled
+    for r, c, v in q.window.known_cells():
+        assert from_fraction(v.value.numerator, v.value.denominator, f101) \
+            == p.window.get(r, c)
+    if q.status != "inconsistent":
+        assert p.status == q.status
 
 
 class TestStepLog:
@@ -229,6 +336,23 @@ class TestStepLog:
                                random_values(8, RATIONALS))
         with pytest.raises(ValueError):
             replay(example_overlay, lay2, res.steps, example_bounds)
+
+    def test_replay_rejects_placements_off_the_window(self, example_overlay,
+                                                      example_bounds):
+        # Every cell but ``target`` is a known zero, so a placement whose
+        # stencil reached ``target`` by wrapping past a window edge would
+        # solve it to the logged 0 and pass the value check.
+        b = example_bounds
+        inside = set(example_overlay.placements_within(b))
+        for target in b.coords():
+            lay = custom_layout({cell: s(0) for cell in b.coords() if cell != target}, b)
+            for r in range(b.r_min - 2, b.r_max + 3):
+                for c in range(b.c_min - 2, b.c_max + 3):
+                    if (r, c) in inside:
+                        continue
+                    step = FillStep((r, c), target, (r - target[0], c - target[1]), s(0))
+                    with pytest.raises(ValueError):
+                        replay(example_overlay, lay, (step,), b)
 
 
 class TestStatuses:
