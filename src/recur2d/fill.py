@@ -8,9 +8,10 @@ pivot coefficient. The engine is a counter worklist (Dowling & Gallier, J.
 Logic Programming 1984): each placement counts its Unknown cells and is visited
 when the count reaches one, in the order a restart scan (rescanning the
 placement list until a sweep solves nothing) would solve it, so the step log is
-that scan's. It works on a flat row-major list of raw field payloads (None for
-Unknown), reducing each solved value with ``FieldDescriptor.reduce``; Scalars
-are built only for the returned steps and window.
+that scan's. It works on the window's own cell store, a flat row-major list of
+raw field payloads (None for Unknown; see ``Bounds.index``), reducing each
+solved value with ``FieldDescriptor.reduce``, and hands that list over to the
+result window. Scalars are built only for the logged steps.
 
 After the fixpoint every fully-Known placement that solved no cell is
 re-checked (a solving placement's residual is zero by construction); a
@@ -39,7 +40,7 @@ from .layout import (DiagonalProvenance, Layout, StandardProvenance,
                      indicator_values)
 from .oracle import INCONSISTENT
 from .overlay import Overlay
-from .window import ArrayWindow, Bounds, window_from_cells, window_linear_combine
+from .window import ArrayWindow, Bounds, window_linear_combine
 
 COMPLETE = "complete"
 PARTIAL = "partial"
@@ -86,11 +87,6 @@ def steps_from_jsonl(text: str, fd: FieldDescriptor) -> tuple[FillStep, ...]:
     return tuple(steps)
 
 
-def _index(bounds: Bounds, r: int, c: int) -> int:
-    """Row-major flat index of in-window cell (r, c)."""
-    return (r - bounds.r_min) * bounds.width + c - bounds.c_min
-
-
 def _seed(overlay: Overlay, layout: Layout, bounds: Bounds) -> tuple[list, list[tuple]]:
     """The window as a flat row-major list of payloads (None for Unknown), and
     the stencil: (flat offset, coefficient, -1/coefficient, grid index (i, j))
@@ -103,8 +99,9 @@ def _seed(overlay: Overlay, layout: Layout, bounds: Bounds) -> tuple[list, list[
         if value.field != overlay.field:
             raise MixedFieldError(f"cell value field {value.field!r} does not match "
                                   f"window field {overlay.field!r}")
-        cells[_index(bounds, *coord)] = value.value
-    return cells, [(-(i * bounds.width + j), b.value, pow(-b.value, -1, b.field.p), (i, j))
+        cells[bounds.index(*coord)] = value.value
+    return cells, [(bounds.index(bounds.r_min - i, bounds.c_min - j), b.value,
+                    pow(-b.value, -1, b.field.p), (i, j))
                    for i, j, b in overlay.nonzero_cells()]
 
 
@@ -122,11 +119,6 @@ def _equation(cells: list, stencil: list[tuple], at: int) -> tuple[list[tuple], 
     return unknown, known
 
 
-def _window(fd: FieldDescriptor, bounds: Bounds, cells: list) -> ArrayWindow:
-    known = {coord: Scalar(fd, v) for coord, v in zip(bounds.coords(), cells) if v is not None}
-    return window_from_cells(bounds, fd, known).freeze()
-
-
 def _fill_in_order(overlay: Overlay, layout: Layout, bounds: Bounds,
                    placements: list[tuple[int, int]]) -> FillResult:
     """Propagate to the fixpoint, solving exactly as a restart scan of
@@ -136,7 +128,7 @@ def _fill_in_order(overlay: Overlay, layout: Layout, bounds: Bounds,
     skipped, as the scan would skip it."""
     fd = overlay.field
     cells, stencil = _seed(overlay, layout, bounds)
-    at = [_index(bounds, r, c) for r, c in placements]
+    at = [bounds.index(r, c) for r, c in placements]
     position = {x: k for k, x in enumerate(at)}
     unknowns = [len(_equation(cells, stencil, x)[0]) for x in at]
     ready = [(0, k) for k, count in enumerate(unknowns) if count == 1]  # sorted: a heap
@@ -162,31 +154,32 @@ def _fill_in_order(overlay: Overlay, layout: Layout, bounds: Bounds,
     witness = None
     for placement in overlay.placements_within(bounds):
         if placement not in solving:
-            unknown, known = _equation(cells, stencil, _index(bounds, *placement))
+            unknown, known = _equation(cells, stencil, bounds.index(*placement))
             if not unknown and fd.reduce(known) != 0:
                 witness = placement
                 break
     unfilled = tuple(coord for coord, v in zip(bounds.coords(), cells) if v is None)
     status = INCONSISTENT if witness is not None else PARTIAL if unfilled else COMPLETE
-    return FillResult(_window(fd, bounds, cells), status, tuple(steps), unfilled, witness)
+    return FillResult(ArrayWindow._adopt(bounds, fd, cells), status, tuple(steps),
+                      unfilled, witness)
 
 
 def _redo_steps(overlay: Overlay, layout: Layout, bounds: Bounds,
                 steps: tuple[FillStep, ...]) -> ArrayWindow:
     """Seed the window from ``layout`` and re-solve each logged placement in
     order; raises ValueError when one lies off the window or no longer solves
-    its logged cell."""
+    its logged cell under its logged pivot."""
     cells, stencil = _seed(overlay, layout, bounds)
     for step in steps:
         r, c = step.placement
         if not (bounds.contains(r, c) and bounds.contains(r - overlay.m, c - overlay.n)):
             raise ValueError(f"step {step} places the overlay off {bounds}")
-        at = _index(bounds, r, c)
+        at = bounds.index(r, c)
         unknown, known = _equation(cells, stencil, at)
-        if [(r - i, c - j) for *_, (i, j) in unknown] != [step.solved]:
+        if [((r - i, c - j), (i, j)) for *_, (i, j) in unknown] != [(step.solved, step.pivot)]:
             raise ValueError(f"step {step} does not replay against this layout")
         cells[at + unknown[0][0]] = overlay.field.reduce(known * unknown[0][2])
-    return _window(overlay.field, bounds, cells)
+    return ArrayWindow._adopt(bounds, overlay.field, cells)
 
 
 def fill(overlay: Overlay, layout: Layout, bounds: Bounds, *,

@@ -1,13 +1,14 @@
 """Finite rectangular views of the infinite Z^2-indexed array.
 
-A window stores one cell state per coordinate of an inclusive rectangle:
-``None`` for Unknown, a :class:`Scalar` for Known. Known(0) and Unknown are
-deliberately distinct — prescribed zeros carry information. Reads outside the
-bounds return Unknown rather than raising, so fill scheduling can probe the
-frontier freely; writes outside the bounds are programming errors.
+A window stores one cell state per coordinate of an inclusive rectangle in a
+flat row-major list (:meth:`Bounds.index`): ``None`` for Unknown, a raw field
+payload for Known; a :class:`Scalar` is built only when a cell is read. Known(0)
+and Unknown are deliberately distinct — prescribed zeros carry information.
+Reads outside the bounds return Unknown; writes outside them are errors.
 
 Windows are mutable while being filled and can be frozen; every published
-result is a frozen snapshot.
+result is a frozen snapshot. The fill engine propagates over such a list and
+hands it to its result window.
 """
 
 from __future__ import annotations
@@ -49,17 +50,28 @@ class Bounds:
             for c in range(self.c_min, self.c_max + 1):
                 yield (r, c)
 
+    def index(self, r: int, c: int) -> int:
+        """Row-major flat index of (r, c): its position in :meth:`coords`
+        when in bounds."""
+        return (r - self.r_min) * self.width + c - self.c_min
+
 
 class ArrayWindow:
-    """Dense grid of cell states over a :class:`Bounds`."""
+    """Dense grid of cell states over a :class:`Bounds`: one raw payload per
+    cell in row-major order, None for Unknown."""
 
     def __init__(self, bounds: Bounds, field: FieldDescriptor):
         self.bounds = bounds
         self.field = field
-        self._cells: list[list[Scalar | None]] = [
-            [None] * bounds.width for _ in range(bounds.height)
-        ]
+        self._cells: list = [None] * (bounds.height * bounds.width)
         self._frozen = False
+
+    @classmethod
+    def _adopt(cls, bounds: Bounds, field: FieldDescriptor, cells: list) -> "ArrayWindow":
+        """A frozen window that takes over ``cells``, a row-major payload list."""
+        window = cls(bounds, field)
+        window._cells = cells
+        return window.freeze()
 
     @property
     def frozen(self) -> bool:
@@ -72,14 +84,15 @@ class ArrayWindow:
     def copy(self) -> "ArrayWindow":
         """Mutable copy (the copy is never frozen)."""
         out = ArrayWindow(self.bounds, self.field)
-        out._cells = [row[:] for row in self._cells]
+        out._cells = self._cells[:]
         return out
 
     def get(self, r: int, c: int) -> Scalar | None:
         """Cell state; Unknown (None) for out-of-bounds coordinates."""
         if not self.bounds.contains(r, c):
             return None
-        return self._cells[r - self.bounds.r_min][c - self.bounds.c_min]
+        v = self._cells[self.bounds.index(r, c)]
+        return None if v is None else Scalar(self.field, v)
 
     def set(self, r: int, c: int, value: Scalar) -> None:
         if self._frozen:
@@ -89,20 +102,19 @@ class ArrayWindow:
         if value.field != self.field:
             raise MixedFieldError(
                 f"cell value field {value.field!r} does not match window field {self.field!r}")
-        self._cells[r - self.bounds.r_min][c - self.bounds.c_min] = value
+        self._cells[self.bounds.index(r, c)] = value.value
 
     def known_cells(self) -> Iterator[tuple[int, int, Scalar]]:
         """(r, c, value) for every Known cell, row-major."""
-        for r, c in self.bounds.coords():
-            v = self.get(r, c)
+        for (r, c), v in zip(self.bounds.coords(), self._cells):
             if v is not None:
-                yield (r, c, v)
+                yield (r, c, Scalar(self.field, v))
 
     def unknown_coords(self) -> list[tuple[int, int]]:
-        return [(r, c) for r, c in self.bounds.coords() if self.get(r, c) is None]
+        return [coord for coord, v in zip(self.bounds.coords(), self._cells) if v is None]
 
     def is_complete(self) -> bool:
-        return not self.unknown_coords()
+        return all(v is not None for v in self._cells)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ArrayWindow):
@@ -111,35 +123,28 @@ class ArrayWindow:
                 and self._cells == other._cells)
 
     def __repr__(self) -> str:
-        known = sum(1 for _ in self.known_cells())
+        known = sum(v is not None for v in self._cells)
         return (f"ArrayWindow({self.bounds}, {self.field!r}, "
-                f"{known}/{self.bounds.height * self.bounds.width} known)")
+                f"{known}/{len(self._cells)} known)")
 
     # -- exports ---------------------------------------------------------
 
+    def _rendered_rows(self) -> list[list[str]]:
+        """Each row's rendered cells, '?' for Unknown, smallest row first."""
+        text = ["?" if v is None else Scalar(self.field, v).render() for v in self._cells]
+        width = self.bounds.width
+        return [text[k:k + width] for k in range(0, len(text), width)]
+
     def to_tsv(self) -> str:
         """Row-major TSV grid; '?' marks Unknown cells."""
-        lines = []
-        for r in range(self.bounds.r_min, self.bounds.r_max + 1):
-            row = []
-            for c in range(self.bounds.c_min, self.bounds.c_max + 1):
-                v = self.get(r, c)
-                row.append("?" if v is None else v.render())
-            lines.append("\t".join(row))
-        return "\n".join(lines) + "\n"
+        return "".join("\t".join(row) + "\n" for row in self._rendered_rows())
 
     def to_json_obj(self) -> dict:
         """{bounds, cells:[{r,c,value}]} with only Known cells listed."""
-        return {
-            "bounds": {
-                "r_min": self.bounds.r_min, "r_max": self.bounds.r_max,
-                "c_min": self.bounds.c_min, "c_max": self.bounds.c_max,
-            },
-            "cells": [
-                {"r": r, "c": c, "value": v.render()}
-                for r, c, v in self.known_cells()
-            ],
-        }
+        b = self.bounds
+        return {"bounds": {"r_min": b.r_min, "r_max": b.r_max, "c_min": b.c_min, "c_max": b.c_max},
+                "cells": [{"r": r, "c": c, "value": v.render()}
+                          for r, c, v in self.known_cells()]}
 
     @classmethod
     def from_json_obj(cls, obj: dict, field: FieldDescriptor) -> "ArrayWindow":
@@ -151,27 +156,13 @@ class ArrayWindow:
 
     def to_ascii(self) -> str:
         """Human-oriented grid with row/column labels; smaller row indices on top."""
-        col_labels = [str(c) for c in range(self.bounds.c_min, self.bounds.c_max + 1)]
-        rows: list[list[str]] = []
-        row_labels = []
-        for r in range(self.bounds.r_min, self.bounds.r_max + 1):
-            row_labels.append(str(r))
-            row = []
-            for c in range(self.bounds.c_min, self.bounds.c_max + 1):
-                v = self.get(r, c)
-                row.append("?" if v is None else v.render())
-            rows.append(row)
-        label_w = max(len("r\\c"), max(len(s) for s in row_labels))
-        widths = [
-            max(len(col_labels[j]), max(len(rows[i][j]) for i in range(len(rows))))
-            for j in range(len(col_labels))
-        ]
-        lines = ["  ".join(["r\\c".rjust(label_w)]
-                           + [col_labels[j].rjust(widths[j]) for j in range(len(widths))])]
-        for i, row in enumerate(rows):
-            lines.append("  ".join([row_labels[i].rjust(label_w)]
-                                   + [row[j].rjust(widths[j]) for j in range(len(widths))]))
-        return "\n".join(lines) + "\n"
+        header = ["r\\c"] + [str(c) for c in range(self.bounds.c_min, self.bounds.c_max + 1)]
+        lines = [header] + [[str(r)] + row for r, row in
+                            zip(range(self.bounds.r_min, self.bounds.r_max + 1),
+                                self._rendered_rows())]
+        widths = [max(len(line[j]) for line in lines) for j in range(len(header))]
+        return "".join("  ".join(s.rjust(w) for s, w in zip(line, widths)) + "\n"
+                       for line in lines)
 
 
 def window_from_cells(bounds: Bounds, field: FieldDescriptor,
@@ -195,18 +186,18 @@ def window_linear_combine(pairs: list[tuple[Scalar, ArrayWindow]]) -> ArrayWindo
             raise ShapeMismatch(f"bounds {w.bounds} != {first.bounds}")
         if w.field != first.field or alpha.field != first.field:
             raise MixedFieldError("all windows and coefficients must share one field")
-    out = ArrayWindow(first.bounds, first.field)
-    for r, c in first.bounds.coords():
-        acc = zero(first.field)
-        known = True
-        for alpha, w in pairs:
-            v = w.get(r, c)
+    fd = first.field
+    alphas = [alpha.value for alpha, _ in pairs]
+    start = zero(fd).value
+    out = ArrayWindow(first.bounds, fd)
+    for k, column in enumerate(zip(*(w._cells for _, w in pairs))):
+        acc = start
+        for alpha, v in zip(alphas, column):
             if v is None:
-                known = False
                 break
-            acc = acc + alpha * v
-        if known:
-            out.set(r, c, acc)
+            acc += alpha * v
+        else:
+            out._cells[k] = fd.reduce(acc)
     return out
 
 

@@ -1,5 +1,6 @@
 """The fill engine: golden values, step log, invariance properties, bases."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -9,14 +10,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from recur2d import (ArrayWindow, Bounds, COMPLETE, CoordinateNotInLayout,
-                     FillResult, FillStep, INCONSISTENT, LayoutOutOfWindow,
-                     Overlay, PARTIAL, RATIONALS, ShapeMismatch, basis_array,
-                     check_support_cases, custom_layout, delta_values,
-                     diagonal_layout, fill, fill_diagonal,
-                     finite_contribution_report, from_int, from_fraction,
-                     indicator_values, parse_template, prime_field,
-                     random_values, replay, standard_layout, steps_from_jsonl,
-                     steps_to_jsonl, superpose, window_linear_combine, zero,
+                     FillResult, FillStep, FrozenWindowError, INCONSISTENT,
+                     LayoutOutOfWindow, Overlay, PARTIAL, RATIONALS,
+                     ShapeMismatch, basis_array, check_support_cases,
+                     custom_layout, delta_values, diagonal_layout, fill,
+                     fill_diagonal, finite_contribution_report, from_int,
+                     from_fraction, indicator_values, one, parse_template,
+                     prime_field, random_values, replay, standard_layout,
+                     steps_from_jsonl, steps_to_jsonl, superpose,
+                     window_from_cells, window_linear_combine, zero,
                      zero_values)
 from conftest import make_random_overlay
 
@@ -268,11 +270,28 @@ def test_worklist_matches_restart_sweep(seed, field, standard, order_seed):
     assert got.window == want.window
     assert (got.status, got.unfilled, got.witness) \
         == (want.status, want.unfilled, want.witness)
-    assert replay(o, lay, got.steps, b) == want.window
+    replayed = replay(o, lay, got.steps, b)
+    assert replayed == want.window
     # An inconsistent fill's values depend on the scan order; superpose
     # re-solves the row-major fill's log.
     row_major = want if order_seed is None else restart_sweep_fill(o, lay, b)
-    assert superpose(o, lay, b) == row_major.window
+    superposed = superpose(o, lay, b)
+    assert superposed == row_major.window
+    # Engine windows are frozen and equal their own cells set one by one.
+    windows = [got.window, replayed, superposed]
+    windows += [basis_array(o, lay, coord, b) for coord in lay.coords[:1]]
+    for w in windows:
+        assert w.frozen
+        with pytest.raises(FrozenWindowError):
+            w.set(b.r_min, b.c_min, zero(field))
+        assert w == window_from_cells(b, field, {(r, c): v for r, c, v in w.known_cells()})
+    # A copy is mutable and shares no cells with the result or a second fill.
+    mutable = got.window.copy()
+    old = mutable.get(b.r_max, b.c_max)
+    mutable.set(b.r_max, b.c_max, zero(field) if old is None else old + one(field))
+    assert not mutable.frozen and mutable != got.window
+    assert got.window.get(b.r_max, b.c_max) == old
+    assert got.window == fill(o, lay, b, order_seed=order_seed).window == want.window
 
 
 @settings(max_examples=100, deadline=None)
@@ -336,6 +355,17 @@ class TestStepLog:
                                random_values(8, RATIONALS))
         with pytest.raises(ValueError):
             replay(example_overlay, lay2, res.steps, example_bounds)
+
+    def test_replay_rejects_rewritten_pivots(self, example_overlay):
+        b = Bounds(-1, 3, -1, 3)
+        lay = standard_layout(example_overlay, b, 0, 0, delta_values(RATIONALS))
+        steps = fill(example_overlay, lay, b).steps
+        grid = [(i, j) for i, j, _ in example_overlay.nonzero_cells()]
+        for k, step in enumerate(steps):
+            for pivot in [(7, 7)] + [g for g in grid if g != step.pivot]:
+                forged = steps[:k] + (dataclasses.replace(step, pivot=pivot),) + steps[k + 1:]
+                with pytest.raises(ValueError):
+                    replay(example_overlay, lay, forged, b)
 
     def test_replay_rejects_placements_off_the_window(self, example_overlay,
                                                       example_bounds):

@@ -1,5 +1,6 @@
 """The independent exact linear-algebra route and its agreement with fill."""
 
+import pathlib
 import random
 
 import pytest
@@ -154,7 +155,7 @@ class TestSystemShape:
 
     def test_oracle_module_never_imports_fill(self):
         import recur2d.oracle as oracle_mod
-        source = open(oracle_mod.__file__).read()
+        source = pathlib.Path(oracle_mod.__file__).read_text()
         assert "from .fill" not in source
         assert "import fill" not in source
 

@@ -3,8 +3,8 @@
 import pytest
 
 from recur2d import (ArrayWindow, Bounds, FrozenWindowError, MixedFieldError,
-                     RATIONALS, ShapeMismatch, emit_series_terms, from_int,
-                     one, prime_field, window_from_cells,
+                     RATIONALS, ShapeMismatch, emit_series_terms, from_fraction,
+                     from_int, one, prime_field, window_from_cells,
                      window_linear_combine, zero)
 
 
@@ -118,7 +118,48 @@ class TestLinearCombine:
         assert out == a
 
 
+def golden_windows():
+    """A Q window with negative multi-digit and fractional cells, a Known zero
+    and Unknowns under negative labels wider than some cells; an F_7 window."""
+    q = window_from_cells(Bounds(-100, -99, -12, -10), RATIONALS, {
+        (-100, -12): s(-345), (-100, -11): s(0),
+        (-99, -11): from_fraction(-7, 3, RATIONALS), (-99, -10): s(5)})
+    f7 = prime_field(7)
+    p = window_from_cells(Bounds(-10, -9, -1, 0), f7, {
+        (-10, -1): s(-4, f7), (-9, -1): s(0, f7), (-9, 0): s(13, f7)})
+    return q, p
+
+
 class TestSerialization:
+    def test_ascii_golden(self):
+        q, p = golden_windows()
+        assert q.to_ascii() == (" r\\c   -12   -11  -10\n"
+                                "-100  -345     0    ?\n"
+                                " -99     ?  -7/3    5\n")
+        assert p.to_ascii() == ("r\\c       -1        0\n"
+                                "-10  3 mod 7        ?\n"
+                                " -9  0 mod 7  6 mod 7\n")
+
+    def test_tsv_golden(self):
+        q, p = golden_windows()
+        assert q.to_tsv() == "-345\t0\t?\n?\t-7/3\t5\n"
+        assert p.to_tsv() == "3 mod 7\t?\n0 mod 7\t6 mod 7\n"
+
+    def test_json_golden(self):
+        q, p = golden_windows()
+        assert q.to_json_obj() == {
+            "bounds": {"r_min": -100, "r_max": -99, "c_min": -12, "c_max": -10},
+            "cells": [{"r": -100, "c": -12, "value": "-345"},
+                      {"r": -100, "c": -11, "value": "0"},
+                      {"r": -99, "c": -11, "value": "-7/3"},
+                      {"r": -99, "c": -10, "value": "5"}]}
+        assert list(q.to_json_obj()["bounds"]) == ["r_min", "r_max", "c_min", "c_max"]
+        assert p.to_json_obj() == {
+            "bounds": {"r_min": -10, "r_max": -9, "c_min": -1, "c_max": 0},
+            "cells": [{"r": -10, "c": -1, "value": "3 mod 7"},
+                      {"r": -9, "c": -1, "value": "0 mod 7"},
+                      {"r": -9, "c": 0, "value": "6 mod 7"}]}
+
     def test_tsv(self):
         w = window_from_cells(Bounds(0, 1, 0, 1), RATIONALS,
                               {(0, 0): s(1), (1, 1): s(-2)})
