@@ -22,6 +22,7 @@ diagnostic on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -46,40 +47,31 @@ def _parse_at(text: str) -> tuple[int, int]:
 
 
 def _print_window(window: ArrayWindow, out: str, extra: dict | None = None) -> None:
+    extra = extra or {}
     if out == "ascii":
         sys.stdout.write(window.to_ascii())
-        if extra:
-            for key in sorted(extra):
-                sys.stdout.write(f"{key}: {extra[key]}\n")
+        for key in sorted(extra):
+            sys.stdout.write(f"{key}: {extra[key]}\n")
     elif out == "tsv":
         sys.stdout.write(window.to_tsv())
     else:
-        obj = {"window": window.to_json_obj()}
-        if extra:
-            obj.update(extra)
+        obj = {"window": window.to_json_obj(), **extra}
         sys.stdout.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def _cmd_fill(spec: ProblemSpec, out: str) -> int:
+def _cmd_fill(spec: ProblemSpec, args: argparse.Namespace) -> int:
     result = fill(spec.overlay, spec.layout, spec.window)
-    if out == "json":
-        extra: dict = {
-            "status": result.status,
-            "unfilled": [list(c) for c in result.unfilled],
-            "witness": list(result.witness) if result.witness else None,
-        }
-        _print_window(result.window, out, extra)
-    elif out == "ascii":
-        extra = {"status": result.status}
-        if result.witness:
-            extra["witness"] = f"({result.witness[0]},{result.witness[1]})"
-        _print_window(result.window, out, extra)
-    else:
-        _print_window(result.window, out)
+    extra: dict = {"status": result.status}
+    if args.out == "json":
+        extra["unfilled"] = [list(c) for c in result.unfilled]
+        extra["witness"] = list(result.witness) if result.witness else None
+    elif result.witness:
+        extra["witness"] = f"({result.witness[0]},{result.witness[1]})"
+    _print_window(result.window, args.out, extra)
     return 0
 
 
-def _cmd_validate(spec: ProblemSpec) -> int:
+def _cmd_validate(spec: ProblemSpec, args: argparse.Namespace) -> int:
     result = solve_problem(spec.overlay, spec.layout, spec.window)
     if result.kind == UNIQUE:
         sys.stdout.write("unique\n")
@@ -93,26 +85,26 @@ def _cmd_validate(spec: ProblemSpec) -> int:
     return 3
 
 
-def _cmd_basis(spec: ProblemSpec, at: tuple[int, int], out: str) -> int:
-    window = basis_array(spec.overlay, spec.layout, at, spec.window)
-    _print_window(window, out)
+def _cmd_basis(spec: ProblemSpec, args: argparse.Namespace) -> int:
+    window = basis_array(spec.overlay, spec.layout, args.at, spec.window)
+    _print_window(window, args.out)
     return 0
 
 
-def _cmd_check_support(spec: ProblemSpec) -> int:
+def _cmd_check_support(spec: ProblemSpec, args: argparse.Namespace) -> int:
     report = check_support_cases(spec.overlay, spec.layout, spec.window)
     sys.stdout.write(report.to_text())
     return 0
 
 
-def _cmd_series(spec: ProblemSpec) -> int:
+def _cmd_series(spec: ProblemSpec, args: argparse.Namespace) -> int:
     result = fill(spec.overlay, spec.layout, spec.window)
     for r, c, v in emit_series_terms(result.window):
         sys.stdout.write(f"{r}\t{c}\t{v.render()}\n")
     return 0
 
 
-def _cmd_oracle_diff(spec: ProblemSpec) -> int:
+def _cmd_oracle_diff(spec: ProblemSpec, args: argparse.Namespace) -> int:
     fill_result = fill(spec.overlay, spec.layout, spec.window)
     oracle_result = solve_problem(spec.overlay, spec.layout, spec.window)
     agree, diffs = oracle_equals_fill(oracle_result, fill_result)
@@ -127,53 +119,40 @@ def _cmd_oracle_diff(spec: ProblemSpec) -> int:
     return 4
 
 
+@functools.cache
 def build_arg_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; each subcommand's ``run``
+    default is its handler."""
     parser = argparse.ArgumentParser(
         prog="recur2d",
         description="Exact two-dimensional linear recurrences: fill windows, "
                     "verify against a linear-algebra oracle, and inspect bases.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_fill = sub.add_parser("fill", help="propagate the recurrence over the window")
-    p_fill.add_argument("spec")
-    p_fill.add_argument("--out", choices=_OUT_CHOICES, default="ascii")
+    def command(name: str, help_text: str, run, at: bool = False, out: bool = False):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("spec")
+        if at:
+            p.add_argument("--at", required=True, type=_parse_at, metavar="r,c")
+        if out:
+            p.add_argument("--out", choices=_OUT_CHOICES, default="ascii")
+        p.set_defaults(run=run)
 
-    p_val = sub.add_parser("validate", help="classify the layout's linear system")
-    p_val.add_argument("spec")
-
-    p_basis = sub.add_parser("basis", help="fill with an indicator at one layout cell")
-    p_basis.add_argument("spec")
-    p_basis.add_argument("--at", required=True, type=_parse_at, metavar="r,c")
-    p_basis.add_argument("--out", choices=_OUT_CHOICES, default="ascii")
-
-    p_sup = sub.add_parser("check-support",
-                           help="test claimed zero regions of basis arrays")
-    p_sup.add_argument("spec")
-
-    p_series = sub.add_parser("series", help="nonzero cells as TSV terms")
-    p_series.add_argument("spec")
-
-    p_diff = sub.add_parser("oracle-diff", help="compare fill with the exact solver")
-    p_diff.add_argument("spec")
+    command("fill", "propagate the recurrence over the window", _cmd_fill, out=True)
+    command("validate", "classify the layout's linear system", _cmd_validate)
+    command("basis", "fill with an indicator at one layout cell", _cmd_basis,
+            at=True, out=True)
+    command("check-support", "test claimed zero regions of basis arrays",
+            _cmd_check_support)
+    command("series", "nonzero cells as TSV terms", _cmd_series)
+    command("oracle-diff", "compare fill with the exact solver", _cmd_oracle_diff)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
-        spec = load_problem(args.spec)
-        if args.command == "fill":
-            return _cmd_fill(spec, args.out)
-        if args.command == "validate":
-            return _cmd_validate(spec)
-        if args.command == "basis":
-            return _cmd_basis(spec, args.at, args.out)
-        if args.command == "check-support":
-            return _cmd_check_support(spec)
-        if args.command == "series":
-            return _cmd_series(spec)
-        assert args.command == "oracle-diff"
-        return _cmd_oracle_diff(spec)
+        return args.run(load_problem(args.spec), args)
     except EngineError as e:
         sys.stderr.write(f"error: {e}\n")
         return 1

@@ -85,6 +85,22 @@ def prime_field(p: int) -> FieldDescriptor:
     return FieldDescriptor(PRIME_KIND, p)
 
 
+def _payload_text(x: Fraction | int) -> str:
+    """``str(x)`` for a field payload of any length. Past about 600 digits,
+    where the interpreter's int/str digit limit may refuse ``str()``, an
+    integer's text is built by splitting it at a power of ten."""
+    if isinstance(x, Fraction):
+        num = _payload_text(x.numerator)
+        return num if x.denominator == 1 else f"{num}/{_payload_text(x.denominator)}"
+    if x < 0:
+        return "-" + _payload_text(-x)
+    if x.bit_length() <= 2000:
+        return str(x)
+    k = x.bit_length() * 3 // 20  # about half of x's decimal digits
+    high, low = divmod(x, 10 ** k)
+    return _payload_text(high) + _payload_text(low).zfill(k)
+
+
 def _check_same_field(a: "Scalar", b: "Scalar") -> None:
     if a.field != b.field:
         raise MixedFieldError(f"cannot combine {a.field!r} and {b.field!r} values")
@@ -143,8 +159,8 @@ class Scalar:
     def render(self) -> str:
         """Canonical text form: 'p' or 'p/q' for rationals, 'r mod p' for prime fields."""
         if self.field.kind == RATIONAL_KIND:
-            return str(self.value)
-        return f"{self.value} mod {self.field.p}"
+            return _payload_text(self.value)
+        return f"{_payload_text(self.value)} mod {_payload_text(self.field.p)}"
 
     def __repr__(self) -> str:
         return self.render()

@@ -22,7 +22,7 @@ from __future__ import annotations
 from .errors import InvalidOverlayError, ZeroTemplateError
 from .field import FieldDescriptor, Scalar, zero
 from .template import Template
-from .window import Bounds
+from .window import Bounds, _ascii_grid
 
 
 class Overlay:
@@ -174,11 +174,5 @@ class Overlay:
 
     def to_ascii(self) -> str:
         """Display-oriented grid; zeros shown as '.' so the stencil shape stays visible."""
-        rows = self.to_display_grid()
-        texts = [[cell.render() if cell else "." for cell in row] for row in rows]
-        widths = [max(len(texts[i][j]) for i in range(len(texts)))
-                  for j in range(len(texts[0]))]
-        return "\n".join(
-            "  ".join(texts[i][j].rjust(widths[j]) for j in range(len(widths)))
-            for i in range(len(texts))
-        ) + "\n"
+        return _ascii_grid([[cell.render() if cell else "." for cell in row]
+                            for row in self.to_display_grid()])

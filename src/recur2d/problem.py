@@ -29,12 +29,12 @@ from dataclasses import dataclass
 
 from .errors import (InvalidOverlayError, LayoutOutOfWindow,
                      NonContiguousExtremeRow, ParseError, SchemaError,
-                     ZeroTemplateError)
+                     ShapeMismatch, ZeroTemplateError)
 from .field import (FieldDescriptor, RATIONALS, Scalar, from_int, parse_scalar,
                     prime_field)
-from .layout import (Layout, custom_layout, delta_values, diagonal_coords,
-                     diagonal_layout, explicit_values, indicator_values,
-                     random_values, standard_coords, standard_layout,
+from .layout import (CustomProvenance, DiagonalProvenance, Layout,
+                     StandardProvenance, delta_values, diagonal_coords,
+                     indicator_values, random_values, standard_coords,
                      zero_values)
 from .overlay import Overlay
 from .parser import parse_template
@@ -137,7 +137,7 @@ def _build_window(doc: dict) -> Bounds:
     vals = {k: _require_int(node[k], f"/window/{k}") for k in keys}
     try:
         bounds = Bounds(vals["r_min"], vals["r_max"], vals["c_min"], vals["c_max"])
-    except Exception as e:
+    except ShapeMismatch as e:
         raise SchemaError("/window", str(e)) from None
     if bounds.height * bounds.width > MAX_CELLS:
         raise SchemaError("/window", f"window of more than {MAX_CELLS} cells")
@@ -180,26 +180,25 @@ def _build_overlay(doc: dict, fd: FieldDescriptor) -> Overlay:
         raise SchemaError("/overlay", str(e)) from None
 
 
-def _layout_value_source(node: dict, fd: FieldDescriptor):
+def _layout_value_source(node: dict, fd: FieldDescriptor, coords: list[tuple[int, int]]):
     _check_keys(node, "/layout/values", {"generator"}, {"at", "seed"})
     kind = node["generator"]
-    if kind == "delta":
+    if kind == "delta" or kind == "zero":
         if "at" in node or "seed" in node:
-            raise SchemaError("/layout/values", "delta takes no parameters")
-        return delta_values(fd)
-    if kind == "zero":
-        if "at" in node or "seed" in node:
-            raise SchemaError("/layout/values", "zero takes no parameters")
-        return zero_values(fd)
+            raise SchemaError("/layout/values", f"{kind} takes no parameters")
+        return delta_values(fd) if kind == "delta" else zero_values(fd)
     if kind == "indicator":
         if "at" not in node:
             raise SchemaError("/layout/values", "indicator needs 'at': [r, c]")
         at = node["at"]
         if (not isinstance(at, list) or len(at) != 2):
             raise SchemaError("/layout/values/at", f"expected [r, c], got {at!r}")
-        r = _require_int(at[0], "/layout/values/at/0")
-        c = _require_int(at[1], "/layout/values/at/1")
-        return indicator_values((r, c), fd)
+        at = (_require_int(at[0], "/layout/values/at/0"),
+              _require_int(at[1], "/layout/values/at/1"))
+        if at not in coords:
+            raise SchemaError("/layout/values/at",
+                              f"coordinate {at} is not part of this layout")
+        return indicator_values(at, fd)
     if kind == "random":
         if "seed" not in node:
             raise SchemaError("/layout/values", "random needs an integer 'seed'")
@@ -207,7 +206,7 @@ def _layout_value_source(node: dict, fd: FieldDescriptor):
     raise SchemaError("/layout/values/generator", f"unknown generator {kind!r}")
 
 
-def _explicit_value_map(entries: list, fd: FieldDescriptor) -> dict:
+def _explicit_value_map(entries: list, fd: FieldDescriptor) -> dict[tuple[int, int], Scalar]:
     mapping: dict[tuple[int, int], Scalar] = {}
     for k, entry in enumerate(entries):
         node = _require_object(entry, f"/layout/values/{k}")
@@ -220,91 +219,80 @@ def _explicit_value_map(entries: list, fd: FieldDescriptor) -> dict:
     return mapping
 
 
+def _layout_coords(node: dict, overlay: Overlay, window: Bounds):
+    """The layout's coordinates, in draw order, and its provenance. A custom
+    layout without ``params.coords`` has None: its values list names them."""
+    kind = node["kind"]
+    params = _require_object(node.get("params", {}), "/layout/params")
+    try:
+        if kind == "standard":
+            _check_keys(params, "/layout/params", set(), {"a", "d"})
+            a = _require_int(params.get("a", 0), "/layout/params/a")
+            d = _require_int(params.get("d", 0), "/layout/params/d")
+            return standard_coords(overlay, window, a, d), StandardProvenance(a, d)
+        if kind == "diagonal":
+            _check_keys(params, "/layout/params", {"k"})
+            k = _require_int(params["k"], "/layout/params/k")
+            return diagonal_coords(k, window), DiagonalProvenance(k)
+    except (NonContiguousExtremeRow, LayoutOutOfWindow) as e:
+        raise SchemaError("/layout", str(e)) from None
+    if kind == "custom":
+        _check_keys(params, "/layout/params", set(), {"coords"})
+        if "coords" not in params:
+            return None, CustomProvenance()
+        raw = params["coords"]
+        if not isinstance(raw, list):
+            raise SchemaError("/layout/params/coords", "expected a list of [r, c]")
+        coords = []
+        for k, pair in enumerate(raw):
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise SchemaError(f"/layout/params/coords/{k}",
+                                  f"expected [r, c], got {pair!r}")
+            coords.append((_require_int(pair[0], f"/layout/params/coords/{k}/0"),
+                           _require_int(pair[1], f"/layout/params/coords/{k}/1")))
+        return coords, CustomProvenance()
+    raise SchemaError("/layout/kind", f"unknown layout kind {kind!r}")
+
+
 def _build_layout(doc: dict, fd: FieldDescriptor, overlay: Overlay,
                   window: Bounds) -> Layout:
     node = _require_object(doc["layout"], "/layout")
     _check_keys(node, "/layout", {"kind", "values"}, {"params"})
-    kind = node["kind"]
-    params = _require_object(node.get("params", {}), "/layout/params")
-    values = node["values"]
-
-    if kind == "standard":
-        _check_keys(params, "/layout/params", set(), {"a", "d"})
-        a = _require_int(params.get("a", 0), "/layout/params/a")
-        d = _require_int(params.get("d", 0), "/layout/params/d")
-        try:
-            coords = standard_coords(overlay, window, a, d)
-        except (NonContiguousExtremeRow, LayoutOutOfWindow) as e:
-            raise SchemaError("/layout", str(e)) from None
-        return _finish_layout(values, fd, coords,
-                              lambda src: standard_layout(overlay, window, a, d, src))
-    if kind == "diagonal":
-        _check_keys(params, "/layout/params", {"k"})
-        k = _require_int(params["k"], "/layout/params/k")
-        try:
-            coords = diagonal_coords(k, window)
-        except LayoutOutOfWindow as e:
-            raise SchemaError("/layout", str(e)) from None
-        return _finish_layout(values, fd, coords,
-                              lambda src: diagonal_layout(k, window, src))
-    if kind == "custom":
-        _check_keys(params, "/layout/params", set(), {"coords"})
-        coords = None
-        if "coords" in params:
-            raw = params["coords"]
-            if not isinstance(raw, list):
-                raise SchemaError("/layout/params/coords", "expected a list of [r, c]")
-            coords = []
-            for k2, pair in enumerate(raw):
-                if not isinstance(pair, list) or len(pair) != 2:
-                    raise SchemaError(f"/layout/params/coords/{k2}",
-                                      f"expected [r, c], got {pair!r}")
-                coords.append((_require_int(pair[0], f"/layout/params/coords/{k2}/0"),
-                               _require_int(pair[1], f"/layout/params/coords/{k2}/1")))
-        if coords is None:
-            if not isinstance(values, list):
-                raise SchemaError("/layout/values",
-                                  "a custom layout without params.coords needs an "
-                                  "explicit values list")
-            mapping = _explicit_value_map(values, fd)
-            try:
-                return custom_layout(mapping, window)
-            except LayoutOutOfWindow as e:
-                raise SchemaError("/layout/values", str(e)) from None
-        try:
-            return _finish_layout(
-                values, fd, coords,
-                lambda src: custom_layout({c2: src(c2) for c2 in coords}, window))
-        except LayoutOutOfWindow as e:
-            raise SchemaError("/layout", str(e)) from None
-    raise SchemaError("/layout/kind", f"unknown layout kind {kind!r}")
+    coords, provenance = _layout_coords(node, overlay, window)
+    prescribed = _bind_values(node["values"], fd, coords)
+    for coord in prescribed:  # standard and diagonal coordinates are clipped already
+        if not window.contains(*coord):
+            raise SchemaError("/layout/values" if coords is None else "/layout",
+                              f"coordinate {coord} outside {window}")
+    return Layout(prescribed, provenance)
 
 
-def _finish_layout(values, fd: FieldDescriptor,
-                   coords: list[tuple[int, int]], build) -> Layout:
-    """Apply a values node (generator object or explicit list) to known coords."""
+def _bind_values(values, fd: FieldDescriptor,
+                 coords: list[tuple[int, int]] | None) -> dict[tuple[int, int], Scalar]:
+    """The prescribed map: a generator drawn over ``coords`` in order, or an
+    explicit list that covers ``coords`` exactly (or, with no coords, names them)."""
+    if coords is None and not isinstance(values, list):
+        raise SchemaError("/layout/values", "a custom layout without params.coords "
+                                            "needs an explicit values list")
     if isinstance(values, dict):
-        source = _layout_value_source(values, fd)
-        if values.get("generator") == "indicator":
-            at = (values["at"][0], values["at"][1])
-            if at not in set(coords):
-                raise SchemaError("/layout/values/at",
-                                  f"coordinate {at} is not part of this layout")
-        return build(source)
-    if isinstance(values, list):
-        mapping = _explicit_value_map(values, fd)
-        coord_set = set(coords)
-        for k, coord in enumerate(mapping):
-            if coord not in coord_set:
-                raise SchemaError(f"/layout/values/{k}",
-                                  f"coordinate {coord} is not part of this layout")
-        for coord in coords:
-            if coord not in mapping:
-                raise SchemaError("/layout/values",
-                                  f"no value prescribed for coordinate {coord}")
-        return build(explicit_values(mapping))
-    raise SchemaError("/layout/values",
-                      "expected a generator object or a list of value entries")
+        source = _layout_value_source(values, fd, coords)
+        return {coord: source(coord) for coord in coords}
+    if not isinstance(values, list):
+        raise SchemaError("/layout/values",
+                          "expected a generator object or a list of value entries")
+    mapping = _explicit_value_map(values, fd)
+    if coords is None:
+        return mapping
+    coord_set = set(coords)
+    for k, coord in enumerate(mapping):
+        if coord not in coord_set:
+            raise SchemaError(f"/layout/values/{k}",
+                              f"coordinate {coord} is not part of this layout")
+    for coord in coords:
+        if coord not in mapping:
+            raise SchemaError("/layout/values",
+                              f"no value prescribed for coordinate {coord}")
+    return {coord: mapping[coord] for coord in coords}
 
 
 def _build_spec(doc) -> ProblemSpec:

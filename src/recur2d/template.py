@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import MixedFieldError
-from .field import FieldDescriptor, Scalar, from_int, one, zero
+from .field import FieldDescriptor, Scalar, _payload_text, from_int, one, zero
 from .window import ArrayWindow, Bounds
 
 
@@ -113,7 +113,7 @@ class Template:
             # needs unary minus at the very start (all the DSL grammar allows).
             negative = self.field.kind == "rationals" and coeff.value < 0
             magnitude = -coeff if negative else coeff
-            factors = [str(magnitude.value)]
+            factors = [_payload_text(magnitude.value)]
             if i:
                 factors.append(f"Y^{i}")
             if j:

@@ -157,12 +157,17 @@ class ArrayWindow:
     def to_ascii(self) -> str:
         """Human-oriented grid with row/column labels; smaller row indices on top."""
         header = ["r\\c"] + [str(c) for c in range(self.bounds.c_min, self.bounds.c_max + 1)]
-        lines = [header] + [[str(r)] + row for r, row in
-                            zip(range(self.bounds.r_min, self.bounds.r_max + 1),
-                                self._rendered_rows())]
-        widths = [max(len(line[j]) for line in lines) for j in range(len(header))]
-        return "".join("  ".join(s.rjust(w) for s, w in zip(line, widths)) + "\n"
-                       for line in lines)
+        return _ascii_grid([header] + [[str(r)] + row for r, row in
+                                       zip(range(self.bounds.r_min, self.bounds.r_max + 1),
+                                           self._rendered_rows())])
+
+
+def _ascii_grid(rows: list[list[str]]) -> str:
+    """One line per row: each column right-justified to its widest cell,
+    columns two spaces apart."""
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return "".join("  ".join(s.rjust(w) for s, w in zip(row, widths)) + "\n"
+                   for row in rows)
 
 
 def window_from_cells(bounds: Bounds, field: FieldDescriptor,

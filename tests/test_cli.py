@@ -4,11 +4,13 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import recur2d
+from recur2d import fill, loads_problem
 from recur2d.cli import main
 from conftest import FIXTURES, HOSTILE_FILES
 
@@ -82,6 +84,38 @@ class TestFill:
         out = capsys.readouterr().out
         assert "status: inconsistent" in out
         assert "witness: (" in out
+
+
+def read_rational(text: str) -> Fraction:
+    """Fraction(text) for digits of any length, read 1,000 digits at a time."""
+    sign, text = (-1, text[1:]) if text.startswith("-") else (1, text)
+    num, _, den = text.partition("/")
+
+    def read(digits):
+        value = 0
+        for k in range(0, len(digits), 1000):
+            value = value * 10 ** len(digits[k:k + 1000]) + int(digits[k:k + 1000])
+        return value
+    return sign * Fraction(read(num), read(den or "1"))
+
+
+class TestLongIntegers:
+    """Values past the interpreter's 4,300-digit int/str limit render exactly."""
+
+    def test_fill_renders_every_digit(self, tmp_path, capsys):
+        c = 99999 ** 1000   # 5,000 digits
+        doc = {**json.loads(Path(WORKED).read_text()),
+               "template": "X*Y + 3*Y + 2*X - 99999^1000"}
+        assert main(["fill", write_spec(tmp_path, doc)]) == 0
+        header, *rows, status = capsys.readouterr().out.splitlines()
+        assert status == "status: complete"
+        grid = {(int(r), int(col)): read_rational(text)
+                for r, *texts in map(str.split, rows)
+                for col, text in zip(header.split()[1:], texts)}
+        assert grid[(-1, -1)] == c and grid[(1, 1)] == Fraction(1, c)
+        spec = loads_problem(json.dumps(doc))
+        window = fill(spec.overlay, spec.layout, spec.window).window
+        assert grid == {(r, col): v.value for r, col, v in window.known_cells()}
 
 
 class TestValidate:

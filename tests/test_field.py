@@ -163,6 +163,17 @@ class TestRenderParse:
         with pytest.raises(ParseError, match="5000-digit"):
             parse_scalar(text, prime_field(7))
 
+    @pytest.mark.parametrize("value,text", [
+        (-(10 ** 6000 + 7), "-1" + "0" * 5999 + "7"),
+        (Fraction(1, 10 ** 5000 + 10 ** 2500), "1/1" + "0" * 2499 + "1" + "0" * 2500),
+        (Fraction(10 ** 5000 - 1, 2), "9" * 5000 + "/2"),
+    ], ids=["integer", "denominator", "numerator"])
+    def test_render_past_the_digit_limit(self, value, text):
+        x = from_fraction(value.numerator, value.denominator, RATIONALS)
+        assert x.render() == text
+        with pytest.raises(ParseError, match="digit integer"):   # read back: a refusal
+            parse_scalar(text, RATIONALS)
+
     @given(st.fractions())
     def test_render_parse_identity(self, q):
         x = from_fraction(q.numerator, q.denominator, RATIONALS)

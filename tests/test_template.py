@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from recur2d import (ArrayWindow, Bounds, MixedFieldError, RATIONALS, Template,
+from recur2d import (ArrayWindow, Bounds, MixedFieldError, ParseError, RATIONALS, Template,
                      annihilates, apply_template, from_fraction, from_int,
                      parse_template, prime_field, window_from_cells)
 from recur2d.template import ShiftAction, constant, identity, monomial, shift_x, shift_y
@@ -101,6 +101,14 @@ class TestRender:
 
     def test_zero_renders_as_zero(self):
         assert Template(RATIONALS, {}).render() == "0"
+
+    def test_coefficient_past_the_digit_limit(self):
+        t = parse_template("X - 10^5000", RATIONALS)
+        text = t.render()
+        assert text == "1*X^1 - 1" + "0" * 5000 + "*I"
+        with pytest.raises(ParseError) as exc:    # read back: a positioned refusal
+            parse_template(text, RATIONALS)
+        assert exc.value.pos == len("1*X^1 - ")
 
     def test_canonical_order(self):
         t = parse_template("2*X + X*Y + 3*Y - I", RATIONALS)
