@@ -58,6 +58,10 @@ class NonContiguousExtremeRow(EngineError):
     """Overlay row m or row 0 has interior zeros, so the standard layout construction does not apply."""
 
 
+class NonStandardLayout(EngineError, ValueError):
+    """An operation defined for standard layouts only was given another kind."""
+
+
 class CoordinateNotInLayout(EngineError):
     """A basis coordinate was requested that the layout does not prescribe."""
 

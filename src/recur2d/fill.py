@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import (CoordinateNotInLayout, LayoutOutOfWindow, MixedFieldError,
-                     ShapeMismatch)
+                     NonStandardLayout, ShapeMismatch)
 from .field import FieldDescriptor, Scalar, parse_scalar
 from .layout import (DiagonalProvenance, Layout, StandardProvenance,
                      indicator_values)
@@ -372,7 +372,7 @@ def check_support_cases(overlay: Overlay, layout: Layout, bounds: Bounds) -> Sup
     counterexamples reported; nothing is assumed.
     """
     if not isinstance(layout.provenance, StandardProvenance):
-        raise ValueError("support-case checks are defined for standard layouts")
+        raise NonStandardLayout("support-case checks are defined for standard layouts")
     results: list[SupportCaseResult] = []
     for (i, j), e in _basis_windows(overlay, layout, bounds):
         claims = [(condition, region, in_region) for condition, applies, region, in_region

@@ -2,12 +2,14 @@
 
 A window, an overlay, and a layout define a linear system: one variable per
 window cell, one homogeneous equation per in-window placement, and one
-inhomogeneous pinning equation per prescribed layout cell. Gauss-Jordan
-elimination over the exact field classifies the system as having a unique
-solution, many solutions, or none, and extracts the solved values. The
-system's rows are Scalars; elimination copies their raw payloads into
-augmented rows, reducing with ``FieldDescriptor.reduce``, and wraps only the
-values it returns.
+inhomogeneous pinning equation per prescribed layout cell. Each row has at
+most one nonzero per stencil cell, so rows are kept sparse: a column -> raw
+payload dict. Forward elimination with Markowitz pivoting (per column, the
+shortest candidate row pivots) classifies the system as having a unique
+solution, many solutions, or none; back-substitution extracts a unique
+solution, and a full reduction of the pivot rows the forced cells of an
+underdetermined one. Arithmetic runs on raw payloads, reduced with
+``FieldDescriptor.reduce``; only returned values are wrapped as Scalars.
 
 This module never calls the constructive fill engine; it builds its equations
 directly from the overlay and layout, so agreement between the two routes is
@@ -17,11 +19,12 @@ evidence, not tautology.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .field import FieldDescriptor, Scalar, one, zero
 from .layout import Layout
 from .overlay import Overlay
-from .window import ArrayWindow, Bounds
+from .window import Bounds
 
 UNIQUE = "unique"
 UNDERDETERMINED = "underdetermined"
@@ -30,10 +33,15 @@ INCONSISTENT = "inconsistent"
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """Dense exact system Ax = b with provenance strings for each row."""
+    """Exact system Ax = b with provenance strings for each row.
+
+    ``sparse_rows`` holds, per row, its nonzero coefficients as a column ->
+    raw payload dict; ``rows`` is the same matrix as dense Scalar lists, built
+    on first access (rows x variables Scalars), for display and tests only.
+    """
 
     variables: tuple[tuple[int, int], ...]
-    rows: list[list[Scalar]]
+    sparse_rows: list[dict[int, object]]
     rhs: list[Scalar]
     provenance: list[str]
     field: FieldDescriptor
@@ -41,6 +49,17 @@ class LinearSystem:
     @property
     def var_index(self) -> dict[tuple[int, int], int]:
         return {coord: k for k, coord in enumerate(self.variables)}
+
+    @cached_property
+    def rows(self) -> list[list[Scalar]]:
+        zero_s = zero(self.field)
+        dense = []
+        for entries in self.sparse_rows:
+            row = [zero_s] * len(self.variables)
+            for k, x in entries.items():
+                row[k] = Scalar(self.field, x)
+            dense.append(row)
+        return dense
 
 
 @dataclass(frozen=True)
@@ -67,94 +86,143 @@ class OracleResult:
 def assemble_system(overlay: Overlay, layout: Layout, bounds: Bounds) -> LinearSystem:
     """One homogeneous row per placement, then one pinning row per layout cell."""
     field = overlay.field
-    variables = tuple(bounds.coords())
-    index = {coord: k for k, coord in enumerate(variables)}
-    nvars = len(variables)
-    rows: list[list[Scalar]] = []
+    stencil = [(i, j, coeff.value) for i, j, coeff in overlay.nonzero_cells()]
+    rows: list[dict[int, object]] = []
     rhs: list[Scalar] = []
     provenance: list[str] = []
     zero_s = zero(field)
     for (r, c) in overlay.placements_within(bounds):
-        row = [zero_s] * nvars
-        for (coord, coeff) in overlay.placement_equation(r, c):
-            row[index[coord]] = row[index[coord]] + coeff
-        rows.append(row)
+        rows.append({bounds.index(r - i, c - j): x for i, j, x in stencil})
         rhs.append(zero_s)
         provenance.append(f"placement ({r},{c})")
+    one_v = one(field).value
     for coord, value in layout.prescribed.items():
-        if coord not in index:
+        if not bounds.contains(*coord):
             raise ValueError(f"layout coordinate {coord} outside {bounds}")
-        row = [zero_s] * nvars
-        row[index[coord]] = one(field)
-        rows.append(row)
+        rows.append({bounds.index(*coord): one_v})
         rhs.append(value)
         provenance.append(f"layout ({coord[0]},{coord[1]})")
-    return LinearSystem(variables, rows, rhs, provenance, field)
+    return LinearSystem(tuple(bounds.coords()), rows, rhs, provenance, field)
 
 
-def _eliminate(system: LinearSystem, track_combo: bool) -> tuple[list[list], list[int]]:
-    """Gauss-Jordan to reduced row echelon form on raw payloads.
-
-    Each working row is augmented as [coefficients | rhs | combination], the
-    combination expressing it over the original rows; tracking it multiplies
-    the arithmetic, so it is left out unless the caller needs an
-    inconsistency certificate. Returns the reduced rows and the pivot column
-    of each of the first rank rows.
-    """
-    reduce = system.field.reduce
-    nrows = len(system.rows)
-    zero_v, one_v = zero(system.field).value, one(system.field).value
-    rows = [[x.value for x in row] + [b.value]
-            + ([one_v if i == k else zero_v for k in range(nrows)] if track_combo else [])
-            for i, (row, b) in enumerate(zip(system.rows, system.rhs))]
-    pivots: list[int] = []
-    for col in range(len(system.variables)):
-        rank = len(pivots)
-        pivot_row = next((i for i in range(rank, nrows) if rows[i][col]), None)
-        if pivot_row is None:
+def _subtract(row: dict, factor, pivot_row: dict, reduce,
+              index: list[set[int]] | None = None, i: int = 0) -> None:
+    """row -= factor * pivot_row in place, dropping entries that cancel; when
+    given, ``index`` (column -> rows holding it) follows row ``i``."""
+    for k, y in pivot_row.items():
+        x = row.get(k)
+        if x is None:
+            row[k] = reduce(-factor * y)
+            if index is not None:
+                index[k].add(i)
             continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        top = rows[rank]
-        if top[col] != 1:
-            inv = pow(top[col], -1, system.field.p)
-            top = rows[rank] = [reduce(x * inv) if x else x for x in top]
-        for i, row in enumerate(rows):
-            factor = row[col]
-            if i != rank and factor:
-                rows[i] = [reduce(x - factor * y) if y else x for x, y in zip(row, top)]
-        pivots.append(col)
-        if len(pivots) == nrows:
-            break
-    return rows, pivots
+        x = reduce(x - factor * y)
+        if x:
+            row[k] = x
+        else:
+            del row[k]
+            if index is not None:
+                index[k].discard(i)
+
+
+def _forward(system: LinearSystem, track_combo: bool):
+    """Forward elimination on copies of the sparse rows, columns in order.
+
+    At each column the candidates are the rows not yet used as pivots that
+    hold it; the shortest pivots (ties to the lowest row index), is scaled
+    to 1 there and stored without that column, and the column is eliminated
+    from the other candidates only. Every row that never pivots ends empty.
+    With ``track_combo`` each row also carries its combination over the
+    original rows, as a sparse dict. Returns (rows, rhs, pivots, combos),
+    pivots listing (column, row) in column order.
+    """
+    field = system.field
+    reduce, p = field.reduce, field.p
+    rows = [dict(row) for row in system.sparse_rows]
+    rhs = [b.value for b in system.rhs]
+    one_v = one(field).value
+    combos = [{i: one_v} for i in range(len(rows))] if track_combo else None
+    index: list[set[int]] = [set() for _ in system.variables]
+    for i, row in enumerate(rows):
+        for k in row:
+            index[k].add(i)
+    pivots: list[tuple[int, int]] = []
+    for col, candidates in enumerate(index):
+        if not candidates:
+            continue
+        top = min(candidates, key=lambda i: (len(rows[i]), i))
+        candidates.discard(top)
+        inv = pow(rows[top].pop(col), -1, p)
+        pivot_row = rows[top] = {k: reduce(x * inv) for k, x in rows[top].items()}
+        for k in pivot_row:
+            index[k].discard(top)
+        pivot_rhs = rhs[top] = reduce(rhs[top] * inv)
+        if combos is not None:
+            combos[top] = {k: reduce(x * inv) for k, x in combos[top].items()}
+        for i in candidates:
+            factor = rows[i].pop(col)
+            _subtract(rows[i], factor, pivot_row, reduce, index, i)
+            if pivot_rhs:
+                rhs[i] = reduce(rhs[i] - factor * pivot_rhs)
+            if combos is not None:
+                _subtract(combos[i], factor, combos[top], reduce)
+        pivots.append((col, top))
+    return rows, rhs, pivots, combos
 
 
 def classify_and_solve(system: LinearSystem) -> OracleResult:
-    """Exact Gauss-Jordan with full classification.
+    """Exact sparse elimination with full classification.
 
     An inconsistent system is re-eliminated with combination tracking so the
     result carries a certificate checkable against the original rows alone.
     """
     field = system.field
     nvars = len(system.variables)
-    rows, pivots = _eliminate(system, False)
-
-    if any(row[nvars] for row in rows[len(pivots):]):
-        rows, pivots = _eliminate(system, True)
-        bad = next(row for row in rows[len(pivots):] if row[nvars])
+    rows, rhs, pivots, _ = _forward(system, False)
+    pivot_of = dict(pivots)
+    pivot_rows = set(pivot_of.values())
+    if any(x and i not in pivot_rows for i, x in enumerate(rhs)):
+        # The first row left as 0 = rhs != 0 gives the certificate.
+        _, rhs, pivots, combos = _forward(system, True)
+        pivot_rows = {i for _, i in pivots}
+        bad = next(i for i, x in enumerate(rhs) if x and i not in pivot_rows)
+        combo, zero_s = combos[bad], zero(field)
         return OracleResult(INCONSISTENT, certificate=Certificate(
-            tuple(Scalar(field, x) for x in bad[nvars + 1:]), Scalar(field, bad[nvars])))
+            tuple(Scalar(field, combo[i]) if i in combo else zero_s for i in range(len(rhs))),
+            Scalar(field, rhs[bad])))
 
-    if len(pivots) == nvars:   # then row k pivots on column k
+    reduce = field.reduce
+    if len(pivots) == nvars:
+        values = [None] * nvars
+        for col, i in reversed(pivots):
+            x = rhs[i]
+            for k, a in rows[i].items():
+                x -= a * values[k]
+            values[col] = reduce(x)
         return OracleResult(UNIQUE, assignment={
-            var: Scalar(field, row[nvars]) for var, row in zip(system.variables, rows)})
+            var: Scalar(field, x) for var, x in zip(system.variables, values)})
 
-    free_cols = sorted(set(range(nvars)).difference(pivots))
-    # A pivot variable is forced (same value in every solution) iff its row
-    # has zero coefficients on all free columns.
-    forced = {system.variables[col]: Scalar(field, row[nvars])
-              for row, col in zip(rows, pivots) if not any(row[f] for f in free_cols)}
+    # Reduce the pivot rows fully (last pivot first), so each holds only free
+    # columns; a pivot variable is forced (same value in every solution) iff
+    # its row is then empty. Fill-in lands in free columns only, so the rows
+    # holding each pivot column are known up front.
+    holders: dict[int, list[int]] = {col: [] for col in pivot_of}
+    for _, i in pivots:
+        for k in rows[i]:
+            if k in holders:
+                holders[k].append(i)
+    for col, i in reversed(pivots):
+        pivot_row, pivot_rhs = rows[i], rhs[i]
+        for j in holders[col]:
+            factor = rows[j].pop(col)
+            _subtract(rows[j], factor, pivot_row, reduce)
+            if pivot_rhs:
+                rhs[j] = reduce(rhs[j] - factor * pivot_rhs)
+    forced = {system.variables[col]: Scalar(field, rhs[i])
+              for col, i in pivots if not rows[i]}
+    free = next(col for col in range(nvars) if col not in pivot_of)
     return OracleResult(UNDERDETERMINED, forced=forced,
-                        free_witness=system.variables[free_cols[0]])
+                        free_witness=system.variables[free])
 
 
 def solve_problem(overlay: Overlay, layout: Layout, bounds: Bounds) -> OracleResult:
@@ -164,28 +232,30 @@ def solve_problem(overlay: Overlay, layout: Layout, bounds: Bounds) -> OracleRes
 def verify_assignment(system: LinearSystem,
                       assignment: dict[tuple[int, int], Scalar]) -> bool:
     """Check an assignment against every original equation (no elimination)."""
-    index = system.var_index
-    for row, rhs in zip(system.rows, system.rhs):
-        total = zero(system.field)
-        for coord, k in index.items():
-            if not row[k].is_zero():
-                total = total + row[k] * assignment[coord]
-        if total != rhs:
+    field = system.field
+    if any(x.field != field for x in assignment.values()):
+        return False
+    for row, b in zip(system.sparse_rows, system.rhs):
+        total = zero(field).value
+        for k, a in row.items():
+            total += a * assignment[system.variables[k]].value
+        if field.reduce(total) != b.value:
             return False
     return True
 
 
 def verify_certificate(system: LinearSystem, certificate: Certificate) -> bool:
     """Check that the certificate combination cancels every variable but not the rhs."""
-    nvars = len(system.variables)
-    lhs = [zero(system.field)] * nvars
-    rhs = zero(system.field)
-    for mult, row, r in zip(certificate.combination, system.rows, system.rhs):
+    field = system.field
+    reduce = field.reduce
+    lhs: dict[int, object] = {}
+    rhs = zero(field).value
+    for mult, row, b in zip(certificate.combination, system.sparse_rows, system.rhs):
         if mult.is_zero():
             continue
-        lhs = [x + mult * y for x, y in zip(lhs, row)]
-        rhs = rhs + mult * r
-    return all(x.is_zero() for x in lhs) and rhs == certificate.rhs and not rhs.is_zero()
+        _subtract(lhs, -mult.value, row, reduce)
+        rhs = reduce(rhs + mult.value * b.value)
+    return not lhs and Scalar(field, rhs) == certificate.rhs and rhs != 0
 
 
 def oracle_equals_fill(result: OracleResult, fill_result) -> tuple[bool, list[str]]:
@@ -235,12 +305,12 @@ def layout_is_valid(overlay: Overlay, layout: Layout, bounds: Bounds) -> bool:
 
 def dump_system(system: LinearSystem) -> str:
     """Deterministic sparse text dump: header, variables, then row entries."""
-    lines = [f"system rows={len(system.rows)} vars={len(system.variables)} "
+    lines = [f"system rows={len(system.sparse_rows)} vars={len(system.variables)} "
              f"field={system.field!r}"]
     lines.append("vars " + " ".join(f"({r},{c})" for r, c in system.variables))
-    for i, (row, rhs, tag) in enumerate(zip(system.rows, system.rhs,
+    for i, (row, rhs, tag) in enumerate(zip(system.sparse_rows, system.rhs,
                                             system.provenance)):
-        entries = " ".join(f"{k}:{v.render()}" for k, v in enumerate(row)
-                           if not v.is_zero())
+        entries = " ".join(f"{k}:{Scalar(system.field, row[k]).render()}"
+                           for k in sorted(row))
         lines.append(f"row {i} [{tag}] {entries} = {rhs.render()}")
     return "\n".join(lines) + "\n"

@@ -86,8 +86,10 @@ def _require_int(node, pointer: str) -> int:
     return node
 
 
-def _check_keys(obj: dict, pointer: str, required: set[str],
-                optional: set[str] = frozenset()) -> None:
+def _check_keys(obj: dict, pointer: str, required: tuple[str, ...],
+                optional: tuple[str, ...] = ()) -> None:
+    """Unknown keys are reported in document order, missing ones in the
+    written order of ``required``, so the message never varies by process."""
     for key in obj:
         if key not in required and key not in optional:
             raise SchemaError(f"{pointer}/{key}", "unknown key")
@@ -113,7 +115,7 @@ def _parse_cell(node, fd: FieldDescriptor, pointer: str) -> Scalar:
 
 def _build_field(doc: dict) -> FieldDescriptor:
     node = _require_object(doc["field"], "/field")
-    _check_keys(node, "/field", {"kind"}, {"p"})
+    _check_keys(node, "/field", ("kind",), ("p",))
     kind = node["kind"]
     if kind == "rationals":
         if "p" in node:
@@ -132,7 +134,7 @@ def _build_field(doc: dict) -> FieldDescriptor:
 
 def _build_window(doc: dict) -> Bounds:
     node = _require_object(doc["window"], "/window")
-    keys = {"r_min", "r_max", "c_min", "c_max"}
+    keys = ("r_min", "r_max", "c_min", "c_max")
     _check_keys(node, "/window", keys)
     vals = {k: _require_int(node[k], f"/window/{k}") for k in keys}
     try:
@@ -181,7 +183,7 @@ def _build_overlay(doc: dict, fd: FieldDescriptor) -> Overlay:
 
 
 def _layout_value_source(node: dict, fd: FieldDescriptor, coords: list[tuple[int, int]]):
-    _check_keys(node, "/layout/values", {"generator"}, {"at", "seed"})
+    _check_keys(node, "/layout/values", ("generator",), ("at", "seed"))
     kind = node["generator"]
     if kind == "delta" or kind == "zero":
         if "at" in node or "seed" in node:
@@ -210,7 +212,7 @@ def _explicit_value_map(entries: list, fd: FieldDescriptor) -> dict[tuple[int, i
     mapping: dict[tuple[int, int], Scalar] = {}
     for k, entry in enumerate(entries):
         node = _require_object(entry, f"/layout/values/{k}")
-        _check_keys(node, f"/layout/values/{k}", {"r", "c", "value"})
+        _check_keys(node, f"/layout/values/{k}", ("r", "c", "value"))
         r = _require_int(node["r"], f"/layout/values/{k}/r")
         c = _require_int(node["c"], f"/layout/values/{k}/c")
         if (r, c) in mapping:
@@ -226,18 +228,18 @@ def _layout_coords(node: dict, overlay: Overlay, window: Bounds):
     params = _require_object(node.get("params", {}), "/layout/params")
     try:
         if kind == "standard":
-            _check_keys(params, "/layout/params", set(), {"a", "d"})
+            _check_keys(params, "/layout/params", (), ("a", "d"))
             a = _require_int(params.get("a", 0), "/layout/params/a")
             d = _require_int(params.get("d", 0), "/layout/params/d")
             return standard_coords(overlay, window, a, d), StandardProvenance(a, d)
         if kind == "diagonal":
-            _check_keys(params, "/layout/params", {"k"})
+            _check_keys(params, "/layout/params", ("k",))
             k = _require_int(params["k"], "/layout/params/k")
             return diagonal_coords(k, window), DiagonalProvenance(k)
     except (NonContiguousExtremeRow, LayoutOutOfWindow) as e:
         raise SchemaError("/layout", str(e)) from None
     if kind == "custom":
-        _check_keys(params, "/layout/params", set(), {"coords"})
+        _check_keys(params, "/layout/params", (), ("coords",))
         if "coords" not in params:
             return None, CustomProvenance()
         raw = params["coords"]
@@ -257,7 +259,7 @@ def _layout_coords(node: dict, overlay: Overlay, window: Bounds):
 def _build_layout(doc: dict, fd: FieldDescriptor, overlay: Overlay,
                   window: Bounds) -> Layout:
     node = _require_object(doc["layout"], "/layout")
-    _check_keys(node, "/layout", {"kind", "values"}, {"params"})
+    _check_keys(node, "/layout", ("kind", "values"), ("params",))
     coords, provenance = _layout_coords(node, overlay, window)
     prescribed = _bind_values(node["values"], fd, coords)
     for coord in prescribed:  # standard and diagonal coordinates are clipped already
@@ -297,7 +299,7 @@ def _bind_values(values, fd: FieldDescriptor,
 
 def _build_spec(doc) -> ProblemSpec:
     root = _require_object(doc, "")
-    _check_keys(root, "", {"field", "layout", "window"}, {"template", "overlay"})
+    _check_keys(root, "", ("field", "layout", "window"), ("template", "overlay"))
     has_template = "template" in root
     has_overlay = "overlay" in root
     if has_template and has_overlay:

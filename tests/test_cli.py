@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -183,6 +184,27 @@ class TestOtherCommands:
         assert "agree" in capsys.readouterr().out
 
 
+class TestLargeWindow:
+    """A 100x100 window: 10,000 unknowns, beyond what dense elimination
+    (two 10^4 x 10^4 matrices) could hold."""
+
+    DOC = {"field": {"kind": "prime", "p": 1000003},
+           "template": "X*Y + 3*Y + 2*X - I",
+           "layout": {"kind": "standard", "params": {"a": 0, "d": 0},
+                      "values": {"generator": "random", "seed": 7}},
+           "window": {"r_min": -1, "r_max": 98, "c_min": -1, "c_max": 98}}
+
+    @pytest.mark.parametrize("command,expected", [
+        ("validate", "unique\n"),
+        ("oracle-diff", "agree: fill complete, oracle unique\n")])
+    def test_unique_and_agrees_with_fill(self, tmp_path, capsys, command, expected):
+        spec = write_spec(tmp_path, self.DOC)
+        t0 = time.perf_counter()
+        assert main([command, spec]) == 0
+        assert time.perf_counter() - t0 < 20.0
+        assert capsys.readouterr().out == expected
+
+
 class TestFailureModes:
     def test_schema_error_exits_1(self, tmp_path, capsys):
         bad = write_spec(tmp_path, {
@@ -206,6 +228,33 @@ class TestFailureModes:
         assert out == ""
         assert err.startswith(f"error: {pointer or '/'}: ")
         assert err.count("\n") == 1
+
+    def test_check_support_on_diagonal_layout_exits_1(self, capsys):
+        path = str(FIXTURES / "golden" / "diagonal_f7_random.json")
+        assert main(["check-support", path]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("node", [
+        {"layout": {"params": {"a": 0, "d": 0}}},
+        {"window": {"r_min": "a", "r_max": "b", "c_min": "c", "c_max": "d"}}])
+    def test_schema_error_text_is_the_same_in_every_process(self, tmp_path, node):
+        # Two missing keys (or two bad bounds) at one node: the one named must
+        # not follow the per-process string hash order.
+        doc = {**json.loads(Path(WORKED).read_text()), **node}
+        spec = write_spec(tmp_path, doc)
+        errs = []
+        for seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": seed,
+                   "PYTHONPATH": str(Path(recur2d.__file__).parents[1])}
+            proc = subprocess.run([sys.executable, "-m", "recur2d.cli", "validate", spec],
+                                  capture_output=True, text=True, env=env)
+            assert proc.returncode == 1
+            errs.append(proc.stderr)
+        assert errs[0] == errs[1]
+        assert errs[0].startswith("error: /")
 
     def test_missing_file_exits_1(self, capsys):
         assert main(["fill", "/no/such/file.json"]) == 1

@@ -2,17 +2,118 @@
 
 import pathlib
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from recur2d import (Bounds, INCONSISTENT, LayoutOutOfWindow, Overlay,
-                     RATIONALS, UNDERDETERMINED, UNIQUE, assemble_system,
+from recur2d import (Bounds, Certificate, INCONSISTENT, LayoutOutOfWindow,
+                     LinearSystem, OracleResult, Overlay, RATIONALS, Scalar,
+                     UNDERDETERMINED, UNIQUE, assemble_system,
                      classify_and_solve, custom_layout, delta_values,
-                     dump_system, fill, from_int, layout_is_valid,
-                     oracle_equals_fill, parse_template, prime_field,
-                     random_values, solve_problem, standard_layout,
-                     verify_assignment, verify_certificate)
+                     dump_system, fill, from_fraction, from_int,
+                     layout_is_valid, one, oracle_equals_fill,
+                     parse_template, prime_field, random_values,
+                     solve_problem, standard_layout, verify_assignment,
+                     verify_certificate, zero)
+from recur2d.oracle import _forward
 from conftest import make_random_overlay
+
+F101 = prime_field(101)
+FIELDS = [RATIONALS, prime_field(7), F101]
+
+
+# -- the dense reference: Gauss-Jordan over every row, as the oracle once ran --
+
+def dense_eliminate(system: LinearSystem, track_combo: bool) -> tuple[list[list], list[int]]:
+    """Gauss-Jordan to reduced row echelon form on the raw payloads of the
+    dense rows, each augmented as [coefficients | rhs | combination]. Returns
+    the reduced rows and the pivot column of each of the first rank rows."""
+    reduce = system.field.reduce
+    nrows = len(system.rows)
+    zero_v, one_v = zero(system.field).value, one(system.field).value
+    rows = [[x.value for x in row] + [b.value]
+            + ([one_v if i == k else zero_v for k in range(nrows)] if track_combo else [])
+            for i, (row, b) in enumerate(zip(system.rows, system.rhs))]
+    pivots: list[int] = []
+    for col in range(len(system.variables)):
+        rank = len(pivots)
+        pivot_row = next((i for i in range(rank, nrows) if rows[i][col]), None)
+        if pivot_row is None:
+            continue
+        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
+        top = rows[rank]
+        if top[col] != 1:
+            inv = pow(top[col], -1, system.field.p)
+            top = rows[rank] = [reduce(x * inv) if x else x for x in top]
+        for i, row in enumerate(rows):
+            factor = row[col]
+            if i != rank and factor:
+                rows[i] = [reduce(x - factor * y) if y else x for x, y in zip(row, top)]
+        pivots.append(col)
+        if len(pivots) == nrows:
+            break
+    return rows, pivots
+
+
+def dense_classify_and_solve(system: LinearSystem) -> OracleResult:
+    field = system.field
+    nvars = len(system.variables)
+    rows, pivots = dense_eliminate(system, False)
+    if any(row[nvars] for row in rows[len(pivots):]):
+        rows, pivots = dense_eliminate(system, True)
+        bad = next(row for row in rows[len(pivots):] if row[nvars])
+        return OracleResult(INCONSISTENT, certificate=Certificate(
+            tuple(Scalar(field, x) for x in bad[nvars + 1:]), Scalar(field, bad[nvars])))
+    if len(pivots) == nvars:   # then row k pivots on column k
+        return OracleResult(UNIQUE, assignment={
+            var: Scalar(field, row[nvars]) for var, row in zip(system.variables, rows)})
+    free_cols = sorted(set(range(nvars)).difference(pivots))
+    forced = {system.variables[col]: Scalar(field, row[nvars])
+              for row, col in zip(rows, pivots) if not any(row[f] for f in free_cols)}
+    return OracleResult(UNDERDETERMINED, forced=forced,
+                        free_witness=system.variables[free_cols[0]])
+
+
+def random_problem(rng: random.Random, overlay: Overlay, values):
+    """A window and a layout for ``overlay``: a standard layout where the
+    window hosts one, else random pins; then maybe one pin dropped, or one
+    extra pin that usually contradicts the recurrence. ``values(cell)`` gives
+    each pin's integer value, so one draw can be read in several fields."""
+    fd = overlay.field
+    r0, c0 = rng.randint(-3, 0), rng.randint(-3, 0)
+    b = Bounds(r0, r0 + rng.randint(0, 6), c0, c0 + rng.randint(0, 6))
+    a, d = rng.randint(b.c_min, b.c_max), rng.randint(b.c_min, b.c_max)
+    pins = None
+    if rng.random() < 0.6:
+        try:
+            pins = dict(standard_layout(overlay, b, a, d,
+                                        lambda cell: from_int(values(cell), fd)).prescribed)
+        except LayoutOutOfWindow:   # the window cannot host this overlay's layout
+            pass
+    if pins is None:
+        pins = {cell: from_int(values(cell), fd) for cell in b.coords() if rng.random() < 0.4}
+    edit = rng.choice(("none", "drop", "extra"))
+    if edit == "drop" and pins:
+        del pins[rng.choice(sorted(pins))]
+    free = [cell for cell in b.coords() if cell not in pins]
+    if edit == "extra" and free:
+        cell = rng.choice(free)
+        pins[cell] = from_int(values(cell) + 1, fd)
+    return custom_layout(pins, b), b
+
+
+def random_system(seed: int, field) -> LinearSystem:
+    rng = random.Random(seed)
+    overlay = make_random_overlay(rng, field)
+    ints = {}
+    lay, b = random_problem(rng, overlay, lambda cell: ints.setdefault(cell, rng.randint(-5, 5)))
+    return assemble_system(overlay, lay, b)
+
+
+def typed(values):
+    """Scalars as (payload type, payload) pairs, so Fraction(1) != 1."""
+    return None if values is None else {k: (type(v.value), v) for k, v in values.items()}
 
 
 def s(n, fd=RATIONALS):
@@ -181,3 +282,129 @@ class TestRandomizedAgreement:
             assert agree, (o.to_display_grid(), b, diffs)
             checked += 1
         assert checked >= 40
+
+
+class TestAgainstDenseReference:
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), field=st.sampled_from(FIELDS))
+    def test_sparse_matches_dense_gauss_jordan(self, seed, field):
+        system = random_system(seed, field)
+        got = classify_and_solve(system)
+        want = dense_classify_and_solve(system)
+        assert got.kind == want.kind
+        assert typed(got.assignment) == typed(want.assignment)
+        assert typed(got.forced) == typed(want.forced)
+        assert got.free_witness == want.free_witness
+        if got.kind == UNIQUE:
+            assert verify_assignment(system, got.assignment)
+        if got.kind == INCONSISTENT:
+            assert verify_certificate(system, got.certificate)
+            assert verify_certificate(system, want.certificate)
+
+    def test_random_systems_reach_every_kind(self):
+        kinds = {UNIQUE: 0, UNDERDETERMINED: 0, INCONSISTENT: 0}
+        for seed in range(300):
+            kinds[classify_and_solve(random_system(seed, FIELDS[seed % 3])).kind] += 1
+        assert min(kinds.values()) >= 30, kinds
+
+    def test_solver_never_builds_the_dense_view(self, monkeypatch, example_overlay,
+                                               example_bounds):
+        def refuse(system):
+            pytest.fail("the dense rows view was built")
+
+        lay = standard_layout(example_overlay, example_bounds, 0, 0,
+                              delta_values(RATIONALS))
+        pinned = dict(lay.prescribed)
+        dropped = custom_layout({k: v for k, v in pinned.items() if k != (0, 0)},
+                                example_bounds)
+        bad = custom_layout({**pinned, (1, 1): s(999)}, example_bounds)
+        systems = [assemble_system(example_overlay, layout, example_bounds)
+                   for layout in (lay, dropped, bad)]
+        monkeypatch.setattr(LinearSystem, "rows", property(refuse))
+        results = [classify_and_solve(system) for system in systems]
+        assert [r.kind for r in results] == [UNIQUE, UNDERDETERMINED, INCONSISTENT]
+        for layout in (lay, dropped, bad):
+            solve_problem(example_overlay, layout, example_bounds)
+            layout_is_valid(example_overlay, layout, example_bounds)
+        assert verify_assignment(systems[0], results[0].assignment)
+        assert verify_certificate(systems[2], results[2].certificate)
+        dump_system(systems[0])
+
+    def test_dense_view_matches_sparse_rows(self, example_overlay, example_bounds):
+        lay = standard_layout(example_overlay, example_bounds, 0, 0,
+                              delta_values(RATIONALS))
+        system = assemble_system(example_overlay, lay, example_bounds)
+        assert system.rows is system.rows   # built once
+        for row, sparse in zip(system.rows, system.sparse_rows):
+            assert {k: x.value for k, x in enumerate(row) if x} == sparse
+            assert all(x.field == RATIONALS for x in row)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_rational_oracle_reduces_mod_p(seed):
+    # Integer coefficients in [-4, 4] are nonzero mod 101. Rank can only drop
+    # mod p, so an underdetermined system over Q is never unique over F_101;
+    # when both are unique, the F_101 solution is the Q solution mod 101.
+    rng = random.Random(seed)
+    o = make_random_overlay(rng, RATIONALS)
+    o101 = Overlay(F101, [[from_int(int(o.coefficient(i, j).value), F101)
+                           for j in range(o.n + 1)] for i in range(o.m + 1)])
+    ints = {}
+    lay, b = random_problem(rng, o, lambda cell: ints.setdefault(cell, rng.randint(-5, 5)))
+    lay101 = custom_layout({cell: from_int(int(v.value), F101)
+                            for cell, v in lay.prescribed.items()}, b)
+    q, p = solve_problem(o, lay, b), solve_problem(o101, lay101, b)
+    if q.kind == UNDERDETERMINED:
+        assert p.kind != UNIQUE
+    if q.kind == UNIQUE and p.kind == UNIQUE:
+        for cell, v in q.assignment.items():
+            assert from_fraction(v.value.numerator, v.value.denominator, F101) \
+                == p.assignment[cell]
+
+
+class TestThirdSolver:
+    """sympy's DomainMatrix rref over QQ and GF(101), on the augmented matrix."""
+
+    @staticmethod
+    def sympy_classify(system: LinearSystem):
+        sympy = pytest.importorskip("sympy")
+        from sympy.polys.matrices import DomainMatrix
+        field = system.field
+        nvars = len(system.variables)
+        domain = sympy.QQ if field.p is None else sympy.GF(field.p)
+
+        def to_domain(x):
+            return domain(x) if field.p else domain(x.numerator, x.denominator)
+
+        def from_domain(x):
+            return int(x) % field.p if field.p else Fraction(int(x.numerator),
+                                                             int(x.denominator))
+
+        matrix = DomainMatrix([[to_domain(x.value) for x in row] + [to_domain(b.value)]
+                               for row, b in zip(system.rows, system.rhs)],
+                              (len(system.rows), nvars + 1), domain)
+        rref, pivots = matrix.rref()
+        if nvars in pivots:
+            return len(pivots) - 1, INCONSISTENT, None
+        rows = [[from_domain(x) for x in row] for row in rref.to_list()]
+        values = {system.variables[col]: Scalar(field, row[nvars])
+                  for row, col in zip(rows, pivots)
+                  if not any(row[k] for k in range(nvars) if k not in pivots)}
+        return len(pivots), UNIQUE if len(pivots) == nvars else UNDERDETERMINED, values
+
+    @pytest.mark.parametrize("field", [RATIONALS, F101])
+    def test_same_rank_kind_and_values(self, field):
+        kinds = set()
+        for seed in range(60):
+            system = random_system(seed, field)
+            rank, kind, values = self.sympy_classify(system)
+            got = classify_and_solve(system)
+            kinds.add(kind)
+            assert got.kind == kind, seed
+            assert len(_forward(system, False)[2]) == rank, seed
+            if kind == UNIQUE:
+                assert got.assignment == values, seed
+            if kind == UNDERDETERMINED:
+                assert got.forced == values, seed
+        assert kinds == {UNIQUE, UNDERDETERMINED, INCONSISTENT}
