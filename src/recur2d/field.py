@@ -207,25 +207,40 @@ def read_int(digits: str, pos: int | None = None) -> int:
                          pos=pos) from None
 
 
+def _read_long_int(digits: str) -> int:
+    """``int(digits)`` at any length, for step logs, which hold the values
+    :func:`_payload_text` renders: past 600 characters the halves are read apart."""
+    if len(digits) <= 600:
+        return int(digits)
+    k = len(digits) // 2
+    high, low = _read_long_int(digits[:-k]), _read_long_int(digits[-k:])
+    return high * 10 ** k + (-low if digits[0] == "-" else low)
+
+
 def parse_scalar(text: str, fd: FieldDescriptor) -> Scalar:
     """Parse '-?digits(/digits)?' — or the rendered 'r mod p' form — into a Scalar.
 
     Raises ParseError on malformed text, a zero denominator, an integer too
     long to read, or a modulus that does not match ``fd``.
     """
+    return _parse_scalar(text, fd, read_int)
+
+
+def _parse_scalar(text: str, fd: FieldDescriptor, read) -> Scalar:
+    """:func:`parse_scalar`, reading each integer with ``read``."""
     text = text.strip()
     m = _MOD_RE.match(text)
     if m is not None:
-        if fd.kind != PRIME_KIND or read_int(m.group(2)) != fd.p:
+        if fd.kind != PRIME_KIND or read(m.group(2)) != fd.p:
             raise ParseError(f"modulus in {text!r} does not match field {fd!r}")
-        return from_int(read_int(m.group(1)), fd)
+        return from_int(read(m.group(1)), fd)
     m = _SCALAR_RE.match(text)
     if m is None:
         raise ParseError(f"not a scalar: {text!r}")
-    numerator = read_int(m.group(1))
+    numerator = read(m.group(1))
     if m.group(2) is None:
         return from_int(numerator, fd)
-    denominator = read_int(m.group(2))
+    denominator = read(m.group(2))
     if denominator == 0:
         raise ParseError(f"zero denominator in {text!r}")
     try:

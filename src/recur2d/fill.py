@@ -35,9 +35,9 @@ from typing import Iterator
 
 from .errors import (CoordinateNotInLayout, LayoutOutOfWindow, MixedFieldError,
                      NonStandardLayout, ShapeMismatch)
-from .field import FieldDescriptor, Scalar, parse_scalar
+from .field import FieldDescriptor, Scalar, _parse_scalar, _read_long_int, one, zero
 from .layout import (DiagonalProvenance, Layout, StandardProvenance,
-                     indicator_values)
+                     indicator_values, zero_values)
 from .oracle import INCONSISTENT
 from .overlay import Overlay
 from .window import ArrayWindow, Bounds, window_linear_combine
@@ -83,15 +83,21 @@ def steps_from_jsonl(text: str, fd: FieldDescriptor) -> tuple[FillStep, ...]:
         obj = json.loads(line)
         steps.append(FillStep(tuple(obj["placement"]), tuple(obj["solved"]),
                               tuple(obj["pivot"]),
-                              parse_scalar(obj["value"], fd)))
+                              _parse_scalar(obj["value"], fd, _read_long_int)))
     return tuple(steps)
+
+
+def _stencil(overlay: Overlay, bounds: Bounds) -> list[tuple]:
+    """(flat offset, coefficient, -1/coefficient, grid index (i, j)) per nonzero
+    coefficient: cell (r - i, c - j) of an in-window placement (r, c) lies at
+    that offset from the placement's flat index."""
+    return [(bounds.index(bounds.r_min - i, bounds.c_min - j), b.value,
+             pow(-b.value, -1, b.field.p), (i, j)) for i, j, b in overlay.nonzero_cells()]
 
 
 def _seed(overlay: Overlay, layout: Layout, bounds: Bounds) -> tuple[list, list[tuple]]:
     """The window as a flat row-major list of payloads (None for Unknown), and
-    the stencil: (flat offset, coefficient, -1/coefficient, grid index (i, j))
-    per nonzero coefficient. Cell (r - i, c - j) of an in-window placement
-    (r, c) lies at that offset from the placement's flat index."""
+    the overlay's ``_stencil``."""
     cells = [None] * (bounds.height * bounds.width)
     for coord, value in layout.prescribed.items():
         if not bounds.contains(*coord):
@@ -100,9 +106,7 @@ def _seed(overlay: Overlay, layout: Layout, bounds: Bounds) -> tuple[list, list[
             raise MixedFieldError(f"cell value field {value.field!r} does not match "
                                   f"window field {overlay.field!r}")
         cells[bounds.index(*coord)] = value.value
-    return cells, [(bounds.index(bounds.r_min - i, bounds.c_min - j), b.value,
-                    pow(-b.value, -1, b.field.p), (i, j))
-                   for i, j, b in overlay.nonzero_cells()]
+    return cells, _stencil(overlay, bounds)
 
 
 def _equation(cells: list, stencil: list[tuple], at: int) -> tuple[list[tuple], object]:
@@ -164,22 +168,40 @@ def _fill_in_order(overlay: Overlay, layout: Layout, bounds: Bounds,
                       unfilled, witness)
 
 
-def _redo_steps(overlay: Overlay, layout: Layout, bounds: Bounds,
-                steps: tuple[FillStep, ...]) -> ArrayWindow:
-    """Seed the window from ``layout`` and re-solve each logged placement in
-    order; raises ValueError when one lies off the window or no longer solves
-    its logged cell under its logged pivot."""
-    cells, stencil = _seed(overlay, layout, bounds)
+def _compile(overlay: Overlay, coords: list[tuple[int, int]], bounds: Bounds,
+             steps: tuple[FillStep, ...]) -> list[tuple]:
+    """The step log as a plan over flat indices: (target, [(source, coefficient)],
+    -1/pivot) per step. Reads coordinates only: with the cells at ``coords``
+    Known, raises ValueError when a step's placement lies off the window or its
+    one Unknown is not its logged cell under its logged pivot."""
+    stencil = _stencil(overlay, bounds)
+    known = {bounds.index(*coord) for coord in coords}
+    plan = []
     for step in steps:
         r, c = step.placement
         if not (bounds.contains(r, c) and bounds.contains(r - overlay.m, c - overlay.n)):
             raise ValueError(f"step {step} places the overlay off {bounds}")
         at = bounds.index(r, c)
-        unknown, known = _equation(cells, stencil, at)
+        unknown = [entry for entry in stencil if at + entry[0] not in known]
         if [((r - i, c - j), (i, j)) for *_, (i, j) in unknown] != [(step.solved, step.pivot)]:
             raise ValueError(f"step {step} does not replay against this layout")
-        cells[at + unknown[0][0]] = overlay.field.reduce(known * unknown[0][2])
-    return ArrayWindow._adopt(bounds, overlay.field, cells)
+        [(offset, _, neg_inv, _)] = unknown
+        known.add(at + offset)
+        plan.append((at + offset, [(at + o, b) for o, b, _, _ in stencil if o != offset], neg_inv))
+    return plan
+
+
+def _evaluate(plan: list[tuple], cells: list, field: FieldDescriptor) -> list:
+    """Solve the plan's targets in order on ``cells``, in place, skipping zero
+    sources and the multiply by -1/pivot of a zero sum."""
+    start = zero(field).value
+    for target, sources, neg_inv in plan:
+        known = start
+        for source, b in sources:
+            if v := cells[source]:
+                known += b * v
+        cells[target] = field.reduce(known * neg_inv) if known else start
+    return cells
 
 
 def fill(overlay: Overlay, layout: Layout, bounds: Bounds, *,
@@ -198,13 +220,17 @@ def fill(overlay: Overlay, layout: Layout, bounds: Bounds, *,
 
 def replay(overlay: Overlay, layout: Layout, steps: tuple[FillStep, ...],
            bounds: Bounds) -> ArrayWindow:
-    """Re-execute a step log from the layout seed; raises if any step no longer applies."""
-    window = _redo_steps(overlay, layout, bounds, steps)
+    """Re-execute a step log from the layout seed, compiled and then evaluated;
+    raises if any step no longer applies."""
+    fd = overlay.field
+    cells, _ = _seed(overlay, layout, bounds)
+    _evaluate(_compile(overlay, layout.coords, bounds, steps), cells, fd)
     for step in steps:
-        redone = window.get(*step.solved)
-        if redone != step.value:
-            raise ValueError(f"replayed value {redone!r} differs from logged {step.value!r}")
-    return window
+        redone = cells[bounds.index(*step.solved)]
+        if redone != step.value.value or step.value.field != fd:
+            raise ValueError(f"replayed value {Scalar(fd, redone)!r} differs from "
+                             f"logged {step.value!r}")
+    return ArrayWindow._adopt(bounds, fd, cells)
 
 
 # -- diagonal-layout specialization ---------------------------------------
@@ -269,13 +295,17 @@ def basis_array(overlay: Overlay, layout: Layout, at: tuple[int, int],
 
 
 def _basis_windows(overlay: Overlay, layout: Layout,
-                   bounds: Bounds) -> Iterator[tuple[tuple[int, int], ArrayWindow]]:
-    """(coord, E(coord)) for each layout coordinate, re-solved from one fill's
-    step log: which placement solves which cell depends only on coordinates."""
-    steps = fill(overlay, layout, bounds).steps
+                   bounds: Bounds) -> Iterator[tuple[tuple[int, int], list]]:
+    """(coord, the flat payload list of E(coord)) for each layout coordinate.
+    Which placement solves which cell depends only on coordinates, so one
+    fill's step log is compiled once and evaluated from each indicator seed."""
+    fd = overlay.field
+    plan = _compile(overlay, layout.coords, bounds, fill(overlay, layout, bounds).steps)
+    template, _ = _seed(overlay, layout.with_values(zero_values(fd)), bounds)
     for coord in layout.coords:
-        indicator = layout.with_values(indicator_values(coord, overlay.field))
-        yield coord, _redo_steps(overlay, indicator, bounds, steps)
+        cells = template[:]
+        cells[bounds.index(*coord)] = one(fd).value
+        yield coord, _evaluate(plan, cells, fd)
 
 
 def superpose(overlay: Overlay, layout: Layout, bounds: Bounds) -> ArrayWindow:
@@ -283,12 +313,13 @@ def superpose(overlay: Overlay, layout: Layout, bounds: Bounds) -> ArrayWindow:
 
     All basis arrays share one Known set (reachability depends only on the
     overlay's zero pattern and the coordinate set, never on values), so the
-    combination's Known structure matches the direct fill exactly.
+    combination's Known structure matches the direct fill exactly. Each
+    E(i,j) is one evaluation of the compiled step log (``_basis_windows``).
     """
     if not layout.coords:
         return fill(overlay, layout, bounds).window
-    pairs = [(layout.value_at(coord), e)
-             for coord, e in _basis_windows(overlay, layout, bounds)]
+    pairs = [(layout.value_at(coord), ArrayWindow._adopt(bounds, overlay.field, cells))
+             for coord, cells in _basis_windows(overlay, layout, bounds)]
     return window_linear_combine(pairs).freeze()
 
 
@@ -301,8 +332,9 @@ def finite_contribution_report(overlay: Overlay, layout: Layout, bounds: Bounds,
     """
     if not bounds.contains(*at):
         raise ValueError(f"cell {at} outside {bounds}")
-    return [(coord, v) for coord, e in _basis_windows(overlay, layout, bounds)
-            if (v := e.get(*at)) is not None and not v.is_zero()]
+    k = bounds.index(*at)
+    return [(coord, Scalar(overlay.field, cells[k])) for coord, cells
+            in _basis_windows(overlay, layout, bounds) if cells[k]]  # Known, nonzero
 
 
 # -- empirical support-region checks --------------------------------------
@@ -374,16 +406,16 @@ def check_support_cases(overlay: Overlay, layout: Layout, bounds: Bounds) -> Sup
     if not isinstance(layout.provenance, StandardProvenance):
         raise NonStandardLayout("support-case checks are defined for standard layouts")
     results: list[SupportCaseResult] = []
-    for (i, j), e in _basis_windows(overlay, layout, bounds):
+    for (i, j), cells in _basis_windows(overlay, layout, bounds):
         claims = [(condition, region, in_region) for condition, applies, region, in_region
                   in _SUPPORT_CLAIMS if applies(i, j, overlay.m, overlay.n)]
         if not claims:
             results.append(SupportCaseResult((i, j), "none", "", 0, 0, ()))
         for condition, region, in_region in claims:
-            values = [(cell, e.get(*cell)) for cell in bounds.coords()
+            values = [(cell, v) for cell, v in zip(bounds.coords(), cells)
                       if in_region(i, j, *cell)]
             unknown = sum(v is None for _, v in values)
-            bad = tuple((cell, v) for cell, v in values if v is not None and not v.is_zero())
+            bad = tuple((cell, Scalar(overlay.field, v)) for cell, v in values if v)
             results.append(SupportCaseResult((i, j), condition, region.format(i=i, j=j),
                                              len(values) - unknown, unknown, bad))
     return SupportReport(tuple(results))

@@ -1,6 +1,7 @@
 """The fill engine: golden values, step log, invariance properties, bases."""
 
 import dataclasses
+import importlib
 import math
 import random
 from fractions import Fraction
@@ -11,16 +12,21 @@ from hypothesis import given, settings, strategies as st
 
 from recur2d import (ArrayWindow, Bounds, COMPLETE, CoordinateNotInLayout,
                      FillResult, FillStep, FrozenWindowError, INCONSISTENT,
-                     LayoutOutOfWindow, Overlay, PARTIAL, RATIONALS,
-                     ShapeMismatch, basis_array, check_support_cases,
-                     custom_layout, delta_values, diagonal_layout, fill,
+                     LayoutOutOfWindow, Overlay, PARTIAL, RATIONALS, Scalar,
+                     ShapeMismatch, SupportCaseResult, SupportReport,
+                     basis_array, check_support_cases, custom_layout,
+                     delta_values, diagonal_layout, fill,
                      fill_diagonal, finite_contribution_report, from_int,
                      from_fraction, indicator_values, one, parse_template,
                      prime_field, random_values, replay, standard_layout,
                      steps_from_jsonl, steps_to_jsonl, superpose,
                      window_from_cells, window_linear_combine, zero,
                      zero_values)
+from recur2d.errors import NonStandardLayout
 from conftest import make_random_overlay
+
+# The module, not the ``fill`` function the package re-exports under its name.
+fill_module = importlib.import_module("recur2d.fill")
 
 
 def s(n, fd=RATIONALS):
@@ -341,6 +347,17 @@ class TestStepLog:
         text = steps_to_jsonl(res.steps)
         assert steps_from_jsonl(text, RATIONALS) == res.steps
 
+    def test_jsonl_round_trip_of_long_integers(self):
+        # Values of 35,000 digits: past the interpreter's int/str digit limit.
+        o = overlay_of("X*Y + 3*Y + 2*X - 99999^1000")
+        b = Bounds(-1, 3, -1, 3)
+        lay = standard_layout(o, b, 0, 0, delta_values(RATIONALS))
+        res = fill(o, lay, b)
+        assert max(len(step.value.render()) for step in res.steps) > 30_000
+        read_back = steps_from_jsonl(steps_to_jsonl(res.steps), RATIONALS)
+        assert read_back == res.steps
+        assert replay(o, lay, read_back, b) == res.window
+
     def test_replay_reproduces_window(self, example_overlay, example_bounds):
         lay = standard_layout(example_overlay, example_bounds, 0, 0,
                               random_values(3, RATIONALS))
@@ -355,6 +372,42 @@ class TestStepLog:
                                random_values(8, RATIONALS))
         with pytest.raises(ValueError):
             replay(example_overlay, lay2, res.steps, example_bounds)
+
+    def test_replay_refusal_texts(self, example_overlay, example_bounds):
+        lay1 = standard_layout(example_overlay, example_bounds, 0, 0,
+                               delta_values(RATIONALS))
+        steps = fill(example_overlay, lay1, example_bounds).steps
+        lay2 = standard_layout(example_overlay, example_bounds, 0, 0,
+                               random_values(8, RATIONALS))
+        with pytest.raises(ValueError) as foreign:
+            replay(example_overlay, lay2, steps, example_bounds)
+        assert str(foreign.value) == "replayed value 10/3 differs from logged 1"
+        forged = (dataclasses.replace(steps[0], pivot=(7, 7)),) + steps[1:]
+        with pytest.raises(ValueError) as rewritten:
+            replay(example_overlay, lay1, forged, example_bounds)
+        assert str(rewritten.value) == (
+            "step FillStep(placement=(0, 0), solved=(-1, -1), pivot=(7, 7), value=1) "
+            "does not replay against this layout")
+        off = (FillStep((5, 5), (4, 4), (1, 1), s(0)),)
+        with pytest.raises(ValueError) as off_window:
+            replay(example_overlay, lay1, off, example_bounds)
+        assert str(off_window.value) == (
+            "step FillStep(placement=(5, 5), solved=(4, 4), pivot=(1, 1), value=0) "
+            "places the overlay off Bounds(r_min=-1, r_max=3, c_min=-1, c_max=3)")
+        # A logged value of another field is refused, though its payload is equal.
+        f7 = prime_field(7)
+        relabelled = tuple(dataclasses.replace(step, value=Scalar(f7, step.value.value))
+                           for step in steps)
+        with pytest.raises(ValueError, match="differs from logged"):
+            replay(example_overlay, lay1, relabelled, example_bounds)
+
+    def test_replay_checks_the_layout_before_any_step(self, example_overlay,
+                                                      example_bounds):
+        off = FillStep((99, 99), (98, 98), (1, 1), s(0))
+        for lay in (custom_layout({(99, 99): s(1)}),
+                    custom_layout({(0, 0): s(1), (50, 0): s(0)})):
+            with pytest.raises(LayoutOutOfWindow):
+                replay(example_overlay, lay, (off,), example_bounds)
 
     def test_replay_rejects_rewritten_pivots(self, example_overlay):
         b = Bounds(-1, 3, -1, 3)
@@ -494,6 +547,69 @@ class TestBasisArrays:
         report = dict(finite_contribution_report(example_overlay, lay,
                                                  example_bounds, (2, 2)))
         assert report[(0, 0)].value == golden_values[(2, 2)]
+
+
+BASIS_TEMPLATES = ("X*Y + 3*Y + 2*X - I", "X^2*Y + 2*X*Y + Y - X^2 + 3*X - 1",
+                   "3*X^2*Y^2 + 3*X*Y^2 + 2*Y^2 + 2*Y + 3*X^2")
+
+
+def support_scan_by_get(overlay, layout, bounds):
+    """check_support_cases reading each basis array back cell by cell through
+    ArrayWindow.get: the reference for its scan of raw payload lists."""
+    results = []
+    for i, j in layout.coords:
+        e = basis_array(overlay, layout, (i, j), bounds)
+        claims = [(condition, region, in_region) for condition, applies, region, in_region
+                  in fill_module._SUPPORT_CLAIMS if applies(i, j, overlay.m, overlay.n)]
+        if not claims:
+            results.append(SupportCaseResult((i, j), "none", "", 0, 0, ()))
+        for condition, region, in_region in claims:
+            values = [(cell, e.get(*cell)) for cell in bounds.coords()
+                      if in_region(i, j, *cell)]
+            unknown = sum(v is None for _, v in values)
+            bad = tuple((cell, v) for cell, v in values if v is not None and not v.is_zero())
+            results.append(SupportCaseResult((i, j), condition, region.format(i=i, j=j),
+                                             len(values) - unknown, unknown, bad))
+    return SupportReport(tuple(results))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), template=st.sampled_from(BASIS_TEMPLATES),
+       field=st.sampled_from([RATIONALS, prime_field(7)]), dropped=st.booleans())
+def test_compiled_basis_matches_indicator_fills(seed, template, field, dropped):
+    # The basis family evaluates one compiled step log per indicator seed;
+    # basis_array runs a whole fill per seed. Dropping layout cells leaves
+    # cells Unknown, and the partial 3x3 template leaves some even without.
+    rng = random.Random(seed)
+    o = overlay_of(template, field)
+    r0, c0 = rng.randint(-2, 0), rng.randint(-2, 0)
+    b = Bounds(r0, o.m - 1 + rng.randint(0, 4), c0, c0 + rng.randint(4, 7))
+    lay = standard_layout(o, b, rng.randint(b.c_min, b.c_max - 1),
+                          rng.randint(b.c_min, b.c_max - 1), random_values(seed, field))
+    if dropped:
+        lay = custom_layout({coord: v for coord, v in lay.prescribed.items()
+                             if rng.random() < 0.8}, b)
+    basis = {}
+    for coord, cells in fill_module._basis_windows(o, lay, b):
+        e = basis_array(o, lay, coord, b)
+        want = [None if (v := e.get(*cell)) is None else v.value for cell in b.coords()]
+        assert cells == want
+        assert list(map(type, cells)) == list(map(type, want))
+        basis[coord] = e
+    assert list(basis) == lay.coords
+    filled = fill(o, lay, b)
+    assert superpose(o, lay, b) == filled.window
+    for cell in filled.unfilled[:2]:
+        assert finite_contribution_report(o, lay, b, cell) == []
+    at = rng.choice(list(b.coords()))
+    assert finite_contribution_report(o, lay, b, at) == [
+        (coord, v) for coord, e in basis.items()
+        if (v := e.get(*at)) is not None and not v.is_zero()]
+    if dropped:
+        with pytest.raises(NonStandardLayout):
+            check_support_cases(o, lay, b)
+    else:
+        assert check_support_cases(o, lay, b) == support_scan_by_get(o, lay, b)
 
 
 class TestDiagonalFill:
