@@ -4,25 +4,25 @@ Each placement of the overlay inside the window is one linear equation over the
 cells it touches; a placement whose equation has exactly one Unknown cell
 (necessarily under a nonzero coefficient — zero-coefficient cells never appear
 in an equation) solves that cell by dividing the known part by the negated
-pivot coefficient. The engine is a counter worklist (Dowling & Gallier, J.
-Logic Programming 1984): each placement counts its Unknown cells and is visited
-when the count reaches one, in the order a restart scan (rescanning the
-placement list until a sweep solves nothing) would solve it, so the step log is
-that scan's. It works on the window's own cell store, a flat row-major list of
-raw field payloads (None for Unknown; see ``Bounds.index``), reducing each
-solved value with ``FieldDescriptor.reduce``, and hands that list over to the
-result window. Scalars are built only for the logged steps.
+pivot coefficient. Which placement solves which cell depends only on which
+cells are Known, never on their values, so the engine schedules, evaluates,
+then checks. ``_schedule`` is a counter worklist over coordinates (Dowling &
+Gallier, J. Logic Programming 1984): each placement counts its Unknown cells
+and is visited when the count reaches one, in the order a restart scan
+(rescanning the placement list until a sweep solves nothing) would solve it,
+so the step log is that scan's. ``_evaluate``, the only code that computes a
+solved value, runs its plan on a flat row-major list of raw payloads (None for
+Unknown; ``Bounds.index``). The basis family runs no fill: one schedule, then
+one evaluation per indicator seed.
 
-After the fixpoint every fully-Known placement that solved no cell is
-re-checked (a solving placement's residual is zero by construction); a
-nonzero residual makes the result Inconsistent with that placement as the
-witness. Otherwise the result is Complete, or Partial with the list of cells
-no in-window chain of solves can reach. Cells whose stencil would exit the
-window are never extrapolated.
-
-The derivable-cell set is a least fixpoint of a monotone enabling relation,
-so it does not depend on scan order; scan order is fixed (and seedable) only
-to make step logs reproducible.
+Every fully-Known placement that solved no cell is then checked (a solving
+placement's residual is zero by construction); a nonzero residual makes the
+result Inconsistent with the first, row-major, as the witness. Otherwise the
+result is Complete, or Partial with the list of cells no in-window chain of
+solves can reach. Cells whose stencil would exit the window are never
+extrapolated. The derivable-cell set is a least fixpoint of a monotone enabling
+relation, so it does not depend on scan order; scan order is fixed (and
+seedable) only to make step logs reproducible.
 """
 
 from __future__ import annotations
@@ -34,10 +34,9 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import (CoordinateNotInLayout, LayoutOutOfWindow, MixedFieldError,
-                     NonStandardLayout, ShapeMismatch)
+                     NonStandardLayout, ParseError, ShapeMismatch)
 from .field import FieldDescriptor, Scalar, _parse_scalar, _read_long_int, one, zero
-from .layout import (DiagonalProvenance, Layout, StandardProvenance,
-                     indicator_values, zero_values)
+from .layout import DiagonalProvenance, Layout, StandardProvenance, zero_values
 from .oracle import INCONSISTENT
 from .overlay import Overlay
 from .window import ArrayWindow, Bounds, window_linear_combine
@@ -76,14 +75,32 @@ def steps_to_jsonl(steps: tuple[FillStep, ...]) -> str:
 
 
 def steps_from_jsonl(text: str, fd: FieldDescriptor) -> tuple[FillStep, ...]:
+    """Read a step log back; a malformed line raises ParseError naming its
+    1-based line number."""
     steps = []
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
-        obj = json.loads(line)
-        steps.append(FillStep(tuple(obj["placement"]), tuple(obj["solved"]),
-                              tuple(obj["pivot"]),
-                              _parse_scalar(obj["value"], fd, _read_long_int)))
+        try:
+            obj = json.loads(line)
+        except (ValueError, RecursionError) as e:
+            # invalid JSON, an integer past the int/str digit limit, or deep nesting
+            raise ParseError(f"step log line {number}: invalid JSON: {e}") from None
+        if not isinstance(obj, dict) or obj.keys() != {"placement", "solved", "pivot", "value"}:
+            raise ParseError(f"step log line {number}: expected an object with exactly "
+                             "the keys placement, solved, pivot and value")
+        pairs = [obj["placement"], obj["solved"], obj["pivot"]]
+        if not all(type(pair) is list and len(pair) == 2
+                   and all(type(x) is int for x in pair) for pair in pairs):
+            raise ParseError(f"step log line {number}: placement, solved and pivot "
+                             "must each be a list of two integers")
+        if type(obj["value"]) is not str:
+            raise ParseError(f"step log line {number}: value must be a string")
+        try:
+            value = _parse_scalar(obj["value"], fd, _read_long_int)
+        except ParseError as e:
+            raise ParseError(f"step log line {number}: {e}") from None
+        steps.append(FillStep(*map(tuple, pairs), value))
     return tuple(steps)
 
 
@@ -109,71 +126,83 @@ def _seed(overlay: Overlay, layout: Layout, bounds: Bounds) -> tuple[list, list[
     return cells, _stencil(overlay, bounds)
 
 
-def _equation(cells: list, stencil: list[tuple], at: int) -> tuple[list[tuple], object]:
-    """The Unknown stencil entries of the placement at flat index ``at``, and
-    the unreduced sum of its Known terms."""
-    unknown = []
-    known = 0
-    for entry in stencil:
-        v = cells[at + entry[0]]
-        if v is None:
-            unknown.append(entry)
-        else:
-            known += entry[1] * v
-    return unknown, known
-
-
-def _fill_in_order(overlay: Overlay, layout: Layout, bounds: Bounds,
-                   placements: list[tuple[int, int]]) -> FillResult:
-    """Propagate to the fixpoint, solving exactly as a restart scan of
-    ``placements`` would: a placement whose count drops to one is queued by
-    (sweep, position), in the current sweep if it lies after the solve that
-    readied it, else in the next; one whose count has since reached zero is
-    skipped, as the scan would skip it."""
-    fd = overlay.field
-    cells, stencil = _seed(overlay, layout, bounds)
+def _schedule(coords: list[tuple[int, int]], bounds: Bounds, placements: list[tuple[int, int]],
+              stencil: list[tuple]) -> tuple[list, list, list]:
+    """Solve from the Known cells at ``coords`` to the fixpoint on coordinates alone, as a
+    restart scan of ``placements`` would: a placement whose Unknown count drops to one is
+    queued by (sweep, position), in this sweep if after the solve that readied it, else
+    the next; one whose count has since reached zero is skipped. Returns the plan, one
+    (placement's flat index, target, -1/pivot) per solve; each solve's (placement, pivot);
+    and, row-major, the placements that end fully Known without solving a cell."""
+    known = bytearray(bounds.height * bounds.width)
     at = [bounds.index(r, c) for r, c in placements]
     position = {x: k for k, x in enumerate(at)}
-    unknowns = [len(_equation(cells, stencil, x)[0]) for x in at]
+    unknowns = [len(stencil)] * len(at)
+    for coord in coords:
+        cell = bounds.index(*coord)
+        known[cell] = 1
+        for offset, *_ in stencil:
+            q = position.get(cell - offset)
+            if q is not None:
+                unknowns[q] -= 1
     ready = [(0, k) for k, count in enumerate(unknowns) if count == 1]  # sorted: a heap
-    steps: list[FillStep] = []
+    plan, solves = [], []
     while ready:
         sweep, k = heapq.heappop(ready)
         if unknowns[k] != 1:
             continue
-        [(offset, _, neg_inv, pivot)], known = _equation(cells, stencil, at[k])
-        cell = at[k] + offset
-        cells[cell] = value = fd.reduce(known * neg_inv)
-        r, c = placements[k]
-        steps.append(FillStep((r, c), (r - pivot[0], c - pivot[1]), pivot, Scalar(fd, value)))
+        x = at[k]
+        for offset, _, neg_inv, pivot in stencil:
+            if not known[x + offset]:
+                break
+        cell = x + offset
+        known[cell] = 1
+        plan.append((x, cell, neg_inv))
+        solves.append((placements[k], pivot))
         for entry in stencil:
             q = position.get(cell - entry[0])
             if q is not None:
                 unknowns[q] -= 1
                 if unknowns[q] == 1:
                     heapq.heappush(ready, (sweep if q > k else sweep + 1, q))
+        unknowns[k] = -1   # solved: its residual is zero by construction, no check
+    return plan, solves, sorted(placements[k] for k, count in enumerate(unknowns) if count == 0)
 
-    # A placement that solved a cell has residual zero by construction.
-    solving = {step.placement for step in steps}
-    witness = None
-    for placement in overlay.placements_within(bounds):
-        if placement not in solving:
-            unknown, known = _equation(cells, stencil, bounds.index(*placement))
-            if not unknown and fd.reduce(known) != 0:
-                witness = placement
-                break
+
+def _evaluate(plan: list[tuple], cells: list, stencil: list[tuple], field: FieldDescriptor) -> list:
+    """Solve the plan's targets in order on ``cells``, in place, skipping zero
+    terms, the target (still Unknown, None) and the multiply of a zero sum."""
+    start = zero(field).value
+    for at, target, neg_inv in plan:
+        known = start
+        for offset, b, _, _ in stencil:
+            if v := cells[at + offset]:
+                known += b * v
+        cells[target] = field.reduce(known * neg_inv) if known else start
+    return cells
+
+
+def _fill_in_order(overlay: Overlay, layout: Layout, bounds: Bounds,
+                   placements: list[tuple[int, int]]) -> FillResult:
+    """Seed, schedule in the order of ``placements``, evaluate, then check."""
+    fd = overlay.field
+    cells, stencil = _seed(overlay, layout, bounds)
+    plan, solves, checks = _schedule(layout.coords, bounds, placements, stencil)
+    _evaluate(plan, cells, stencil, fd)
+    steps = tuple(FillStep((r, c), (r - i, c - j), (i, j), Scalar(fd, cells[target]))
+                  for ((r, c), (i, j)), (_, target, _) in zip(solves, plan))
+    witness = next((p for p in checks if fd.reduce(sum(
+        b * cells[bounds.index(*p) + offset] for offset, b, _, _ in stencil))), None)
     unfilled = tuple(coord for coord, v in zip(bounds.coords(), cells) if v is None)
     status = INCONSISTENT if witness is not None else PARTIAL if unfilled else COMPLETE
-    return FillResult(ArrayWindow._adopt(bounds, fd, cells), status, tuple(steps),
-                      unfilled, witness)
+    return FillResult(ArrayWindow._adopt(bounds, fd, cells), status, steps, unfilled, witness)
 
 
 def _compile(overlay: Overlay, coords: list[tuple[int, int]], bounds: Bounds,
              steps: tuple[FillStep, ...]) -> list[tuple]:
-    """The step log as a plan over flat indices: (target, [(source, coefficient)],
-    -1/pivot) per step. Reads coordinates only: with the cells at ``coords``
-    Known, raises ValueError when a step's placement lies off the window or its
-    one Unknown is not its logged cell under its logged pivot."""
+    """The step log as a plan in ``_schedule``'s form. Reads coordinates only:
+    with the cells at ``coords`` Known, raises ValueError when a step's placement
+    lies off the window or its one Unknown is not its logged cell and pivot."""
     stencil = _stencil(overlay, bounds)
     known = {bounds.index(*coord) for coord in coords}
     plan = []
@@ -187,21 +216,8 @@ def _compile(overlay: Overlay, coords: list[tuple[int, int]], bounds: Bounds,
             raise ValueError(f"step {step} does not replay against this layout")
         [(offset, _, neg_inv, _)] = unknown
         known.add(at + offset)
-        plan.append((at + offset, [(at + o, b) for o, b, _, _ in stencil if o != offset], neg_inv))
+        plan.append((at, at + offset, neg_inv))
     return plan
-
-
-def _evaluate(plan: list[tuple], cells: list, field: FieldDescriptor) -> list:
-    """Solve the plan's targets in order on ``cells``, in place, skipping zero
-    sources and the multiply by -1/pivot of a zero sum."""
-    start = zero(field).value
-    for target, sources, neg_inv in plan:
-        known = start
-        for source, b in sources:
-            if v := cells[source]:
-                known += b * v
-        cells[target] = field.reduce(known * neg_inv) if known else start
-    return cells
 
 
 def fill(overlay: Overlay, layout: Layout, bounds: Bounds, *,
@@ -220,11 +236,11 @@ def fill(overlay: Overlay, layout: Layout, bounds: Bounds, *,
 
 def replay(overlay: Overlay, layout: Layout, steps: tuple[FillStep, ...],
            bounds: Bounds) -> ArrayWindow:
-    """Re-execute a step log from the layout seed, compiled and then evaluated;
-    raises if any step no longer applies."""
+    """Re-execute a step log, from any scan order, from the layout seed:
+    compiled and then evaluated; raises if any step no longer applies."""
     fd = overlay.field
-    cells, _ = _seed(overlay, layout, bounds)
-    _evaluate(_compile(overlay, layout.coords, bounds, steps), cells, fd)
+    cells, stencil = _seed(overlay, layout, bounds)
+    _evaluate(_compile(overlay, layout.coords, bounds, steps), cells, stencil, fd)
     for step in steps:
         redone = cells[bounds.index(*step.solved)]
         if redone != step.value.value or step.value.field != fd:
@@ -287,25 +303,27 @@ def fill_diagonal(overlay: Overlay, layout: Layout, bounds: Bounds) -> FillResul
 
 def basis_array(overlay: Overlay, layout: Layout, at: tuple[int, int],
                 bounds: Bounds) -> ArrayWindow:
-    """E(at): the fill whose layout values are 1 at ``at`` and 0 elsewhere."""
+    """E(at), the window whose layout values are 1 at ``at`` and 0 elsewhere: one
+    evaluation of the layout's schedule. The layout's own values are neither read nor checked."""
     if at not in layout:
         raise CoordinateNotInLayout(f"{at} is not a layout coordinate")
-    indicator = layout.with_values(indicator_values(at, overlay.field))
-    return fill(overlay, indicator, bounds).window
+    coords_only = layout.with_values(zero_values(overlay.field))
+    [(_, cells)] = _basis_windows(overlay, coords_only, bounds, [at])
+    return ArrayWindow._adopt(bounds, overlay.field, cells)
 
 
-def _basis_windows(overlay: Overlay, layout: Layout,
-                   bounds: Bounds) -> Iterator[tuple[tuple[int, int], list]]:
-    """(coord, the flat payload list of E(coord)) for each layout coordinate.
-    Which placement solves which cell depends only on coordinates, so one
-    fill's step log is compiled once and evaluated from each indicator seed."""
+def _basis_windows(overlay: Overlay, layout: Layout, bounds: Bounds,
+                   coords: list[tuple[int, int]]) -> Iterator[tuple[tuple[int, int], list]]:
+    """(coord, the flat payload list of E(coord)) for each layout coordinate in ``coords``:
+    the layout is scheduled once, row-major, and the plan evaluated per indicator seed."""
     fd = overlay.field
-    plan = _compile(overlay, layout.coords, bounds, fill(overlay, layout, bounds).steps)
-    template, _ = _seed(overlay, layout.with_values(zero_values(fd)), bounds)
-    for coord in layout.coords:
-        cells = template[:]
+    seed, stencil = _seed(overlay, layout, bounds)
+    plan, _, _ = _schedule(layout.coords, bounds, overlay.placements_within(bounds), stencil)
+    zeros = [None if v is None else zero(fd).value for v in seed]
+    for coord in coords:
+        cells = zeros[:]
         cells[bounds.index(*coord)] = one(fd).value
-        yield coord, _evaluate(plan, cells, fd)
+        yield coord, _evaluate(plan, cells, stencil, fd)
 
 
 def superpose(overlay: Overlay, layout: Layout, bounds: Bounds) -> ArrayWindow:
@@ -314,12 +332,12 @@ def superpose(overlay: Overlay, layout: Layout, bounds: Bounds) -> ArrayWindow:
     All basis arrays share one Known set (reachability depends only on the
     overlay's zero pattern and the coordinate set, never on values), so the
     combination's Known structure matches the direct fill exactly. Each
-    E(i,j) is one evaluation of the compiled step log (``_basis_windows``).
+    E(i,j) is one evaluation of the layout's schedule (``_basis_windows``).
     """
     if not layout.coords:
         return fill(overlay, layout, bounds).window
     pairs = [(layout.value_at(coord), ArrayWindow._adopt(bounds, overlay.field, cells))
-             for coord, cells in _basis_windows(overlay, layout, bounds)]
+             for coord, cells in _basis_windows(overlay, layout, bounds, layout.coords)]
     return window_linear_combine(pairs).freeze()
 
 
@@ -334,7 +352,7 @@ def finite_contribution_report(overlay: Overlay, layout: Layout, bounds: Bounds,
         raise ValueError(f"cell {at} outside {bounds}")
     k = bounds.index(*at)
     return [(coord, Scalar(overlay.field, cells[k])) for coord, cells
-            in _basis_windows(overlay, layout, bounds) if cells[k]]  # Known, nonzero
+            in _basis_windows(overlay, layout, bounds, layout.coords) if cells[k]]  # Known, nonzero
 
 
 # -- empirical support-region checks --------------------------------------
@@ -406,7 +424,7 @@ def check_support_cases(overlay: Overlay, layout: Layout, bounds: Bounds) -> Sup
     if not isinstance(layout.provenance, StandardProvenance):
         raise NonStandardLayout("support-case checks are defined for standard layouts")
     results: list[SupportCaseResult] = []
-    for (i, j), cells in _basis_windows(overlay, layout, bounds):
+    for (i, j), cells in _basis_windows(overlay, layout, bounds, layout.coords):
         claims = [(condition, region, in_region) for condition, applies, region, in_region
                   in _SUPPORT_CLAIMS if applies(i, j, overlay.m, overlay.n)]
         if not claims:

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from recur2d import (ArrayWindow, Bounds, COMPLETE, CoordinateNotInLayout,
                      FillResult, FillStep, FrozenWindowError, INCONSISTENT,
-                     LayoutOutOfWindow, Overlay, PARTIAL, RATIONALS, Scalar,
+                     LayoutOutOfWindow, Overlay, PARTIAL, ParseError, RATIONALS, Scalar,
                      ShapeMismatch, SupportCaseResult, SupportReport,
                      basis_array, check_support_cases, custom_layout,
                      delta_values, diagonal_layout, fill,
@@ -347,6 +347,36 @@ class TestStepLog:
         text = steps_to_jsonl(res.steps)
         assert steps_from_jsonl(text, RATIONALS) == res.steps
 
+    STEP = '"placement": [0, 0], "solved": [-1, -1], "value": "1"'
+
+    @pytest.mark.parametrize("line", [
+        '{"pivot": [1, 1], ' + STEP,
+        '{"pivot": [1, ' + "1" * 5000 + '], ' + STEP + '}',
+        "[" * 100_000,
+        "[1, 2]",
+        "null",
+        "{" + STEP + "}",
+        '{"pivot": [1, 1], "note": 0, ' + STEP + '}',
+        '{"pivot": [1, 1], "placement": null, "solved": [-1, -1], "value": "1"}',
+        '{"pivot": [1, 1], "placement": ["0", 0], "solved": [-1, -1], "value": "1"}',
+        '{"pivot": [1, 1], "placement": [0.0, 0], "solved": [-1, -1], "value": "1"}',
+        '{"pivot": [1, 1], "placement": [true, 0], "solved": [-1, -1], "value": "1"}',
+        '{"pivot": [1, 1], "placement": [0, 0], "solved": [-1, -1, 0], "value": "1"}',
+        '{"pivot": {"0": 1}, "placement": [0, 0], "solved": [-1, -1], "value": "1"}',
+        '{"pivot": [1, 1], "placement": [0, 0], "solved": [-1, -1], "value": 3}',
+        '{"pivot": [1, 1], "placement": [0, 0], "solved": [-1, -1], "value": "1/0"}',
+    ], ids=["invalid-json", "long-integer", "deep-nesting", "list", "null", "no-pivot",
+            "extra-key", "null-placement", "string-coordinate", "float-coordinate",
+            "bool-coordinate", "three-coordinates", "object-pivot", "value-not-string",
+            "zero-denominator"])
+    def test_malformed_step_line_is_a_parse_error(self, line, example_overlay):
+        b = Bounds(-1, 3, -1, 3)
+        lay = standard_layout(example_overlay, b, 0, 0, delta_values(RATIONALS))
+        lines = steps_to_jsonl(fill(example_overlay, lay, b).steps).splitlines()
+        lines[1] = line
+        with pytest.raises(ParseError, match=r"^step log line 2: "):
+            steps_from_jsonl("\n".join(lines), RATIONALS)
+
     def test_jsonl_round_trip_of_long_integers(self):
         # Values of 35,000 digits: past the interpreter's int/str digit limit.
         o = overlay_of("X*Y + 3*Y + 2*X - 99999^1000")
@@ -540,6 +570,21 @@ class TestBasisArrays:
         direct = fill(example_overlay, lay, example_bounds).window.get(*at)
         assert total == direct
 
+    def test_basis_family_never_fills(self, monkeypatch, example_overlay, example_bounds):
+        def refuse(*args, **kwargs):
+            pytest.fail("the basis family ran a fill")
+
+        o, b = example_overlay, example_bounds
+        lay = standard_layout(o, b, 0, 0, random_values(5, RATIONALS))
+        calls = [lambda: [basis_array(o, lay, coord, b) for coord in lay.coords],
+                 lambda: superpose(o, lay, b),
+                 lambda: finite_contribution_report(o, lay, b, (2, 2)),
+                 lambda: check_support_cases(o, lay, b)]
+        want = [call() for call in calls]
+        monkeypatch.setattr(fill_module, "_fill_in_order", refuse)
+        monkeypatch.setattr(fill_module, "FillStep", refuse)
+        assert [call() for call in calls] == want
+
     def test_contribution_report_delta_layout(self, example_overlay,
                                               example_bounds, golden_values):
         lay = standard_layout(example_overlay, example_bounds, 0, 0,
@@ -577,9 +622,10 @@ def support_scan_by_get(overlay, layout, bounds):
 @given(seed=st.integers(0, 2**32 - 1), template=st.sampled_from(BASIS_TEMPLATES),
        field=st.sampled_from([RATIONALS, prime_field(7)]), dropped=st.booleans())
 def test_compiled_basis_matches_indicator_fills(seed, template, field, dropped):
-    # The basis family evaluates one compiled step log per indicator seed;
-    # basis_array runs a whole fill per seed. Dropping layout cells leaves
-    # cells Unknown, and the partial 3x3 template leaves some even without.
+    # The basis family evaluates one schedule per indicator seed; the
+    # restart-sweep reference fills each indicator layout with Scalars.
+    # Dropping layout cells leaves cells Unknown, and the partial 3x3
+    # template leaves some even without.
     rng = random.Random(seed)
     o = overlay_of(template, field)
     r0, c0 = rng.randint(-2, 0), rng.randint(-2, 0)
@@ -589,12 +635,17 @@ def test_compiled_basis_matches_indicator_fills(seed, template, field, dropped):
     if dropped:
         lay = custom_layout({coord: v for coord, v in lay.prescribed.items()
                              if rng.random() < 0.8}, b)
+
+    def payloads(window):
+        return [None if (v := window.get(*cell)) is None else v.value for cell in b.coords()]
+
     basis = {}
-    for coord, cells in fill_module._basis_windows(o, lay, b):
+    for coord, cells in fill_module._basis_windows(o, lay, b, lay.coords):
         e = basis_array(o, lay, coord, b)
-        want = [None if (v := e.get(*cell)) is None else v.value for cell in b.coords()]
-        assert cells == want
-        assert list(map(type, cells)) == list(map(type, want))
+        indicator = lay.with_values(indicator_values(coord, field))
+        for want in (payloads(e), payloads(restart_sweep_fill(o, indicator, b).window)):
+            assert cells == want
+            assert list(map(type, cells)) == list(map(type, want))
         basis[coord] = e
     assert list(basis) == lay.coords
     filled = fill(o, lay, b)
