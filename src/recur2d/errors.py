@@ -50,7 +50,7 @@ class ShapeMismatch(EngineError):
     """Operands have incompatible bounds, or an overlay has the wrong stencil shape."""
 
 
-class LayoutOutOfWindow(EngineError):
+class LayoutOutOfWindow(EngineError, ValueError):
     """A layout requires coordinates outside the window bounds."""
 
 

@@ -33,10 +33,9 @@ import random
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import (CoordinateNotInLayout, LayoutOutOfWindow, MixedFieldError,
-                     NonStandardLayout, ParseError, ShapeMismatch)
+from .errors import CoordinateNotInLayout, NonStandardLayout, ParseError, ShapeMismatch
 from .field import FieldDescriptor, Scalar, _parse_scalar, _read_long_int, one, zero
-from .layout import DiagonalProvenance, Layout, StandardProvenance, zero_values
+from .layout import DiagonalProvenance, Layout, StandardProvenance
 from .oracle import INCONSISTENT
 from .overlay import Overlay
 from .window import ArrayWindow, Bounds, window_linear_combine
@@ -116,12 +115,7 @@ def _seed(overlay: Overlay, layout: Layout, bounds: Bounds) -> tuple[list, list[
     """The window as a flat row-major list of payloads (None for Unknown), and
     the overlay's ``_stencil``."""
     cells = [None] * (bounds.height * bounds.width)
-    for coord, value in layout.prescribed.items():
-        if not bounds.contains(*coord):
-            raise LayoutOutOfWindow(f"layout coordinate {coord} outside {bounds}")
-        if value.field != overlay.field:
-            raise MixedFieldError(f"cell value field {value.field!r} does not match "
-                                  f"window field {overlay.field!r}")
+    for coord, value in layout.checked(overlay.field, bounds):
         cells[bounds.index(*coord)] = value.value
     return cells, _stencil(overlay, bounds)
 
@@ -304,11 +298,10 @@ def fill_diagonal(overlay: Overlay, layout: Layout, bounds: Bounds) -> FillResul
 def basis_array(overlay: Overlay, layout: Layout, at: tuple[int, int],
                 bounds: Bounds) -> ArrayWindow:
     """E(at), the window whose layout values are 1 at ``at`` and 0 elsewhere: one
-    evaluation of the layout's schedule. The layout's own values are neither read nor checked."""
+    evaluation of the layout's schedule. The layout's own values are checked, never read."""
     if at not in layout:
         raise CoordinateNotInLayout(f"{at} is not a layout coordinate")
-    coords_only = layout.with_values(zero_values(overlay.field))
-    [(_, cells)] = _basis_windows(overlay, coords_only, bounds, [at])
+    [(_, cells)] = _basis_windows(overlay, layout, bounds, [at])
     return ArrayWindow._adopt(bounds, overlay.field, cells)
 
 
@@ -319,7 +312,8 @@ def _basis_windows(overlay: Overlay, layout: Layout, bounds: Bounds,
     fd = overlay.field
     seed, stencil = _seed(overlay, layout, bounds)
     plan, _, _ = _schedule(layout.coords, bounds, overlay.placements_within(bounds), stencil)
-    zeros = [None if v is None else zero(fd).value for v in seed]
+    zero_v = zero(fd).value
+    zeros = [None if v is None else zero_v for v in seed]
     for coord in coords:
         cells = zeros[:]
         cells[bounds.index(*coord)] = one(fd).value

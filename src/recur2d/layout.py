@@ -18,9 +18,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterator
 
-from .errors import LayoutOutOfWindow, NonContiguousExtremeRow
+from .errors import LayoutOutOfWindow, MixedFieldError, NonContiguousExtremeRow
 from .field import FieldDescriptor, Scalar, one, zero
 from .overlay import Overlay
 from .window import Bounds
@@ -129,6 +129,17 @@ class Layout:
 
     def __repr__(self) -> str:
         return f"Layout({self.provenance.kind}, {len(self.prescribed)} coords)"
+
+    def checked(self, field: FieldDescriptor, bounds: Bounds) -> Iterator[tuple[Coord, Scalar]]:
+        """(coord, value) in layout order, refusing a coordinate outside ``bounds``
+        (LayoutOutOfWindow) and a value of another field (MixedFieldError)."""
+        for coord, value in self.prescribed.items():
+            if not bounds.contains(*coord):
+                raise LayoutOutOfWindow(f"layout coordinate {coord} outside {bounds}")
+            if value.field != field:
+                raise MixedFieldError(f"cell value field {value.field!r} does not match "
+                                      f"window field {field!r}")
+            yield coord, value
 
     def with_values(self, source: ValueSource) -> "Layout":
         """Same coordinates and provenance, values re-drawn from ``source``."""

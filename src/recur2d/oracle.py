@@ -6,10 +6,11 @@ inhomogeneous pinning equation per prescribed layout cell. Each row has at
 most one nonzero per stencil cell, so rows are kept sparse: a column -> raw
 payload dict. Forward elimination with Markowitz pivoting (per column, the
 shortest candidate row pivots) classifies the system as having a unique
-solution, many solutions, or none; back-substitution extracts a unique
-solution, and a full reduction of the pivot rows the forced cells of an
-underdetermined one. Arithmetic runs on raw payloads, reduced with
-``FieldDescriptor.reduce``; only returned values are wrapped as Scalars.
+solution, many solutions, or none; one full reduction of the pivot rows then
+reads off the forced cells (every cell, when the solution is unique). Layout
+cells are checked by ``Layout.checked``, as in the fill. Arithmetic runs on raw
+payloads, reduced with ``FieldDescriptor.reduce``; only returned values are
+wrapped as Scalars.
 
 This module never calls the constructive fill engine; it builds its equations
 directly from the overlay and layout, so agreement between the two routes is
@@ -96,9 +97,7 @@ def assemble_system(overlay: Overlay, layout: Layout, bounds: Bounds) -> LinearS
         rhs.append(zero_s)
         provenance.append(f"placement ({r},{c})")
     one_v = one(field).value
-    for coord, value in layout.prescribed.items():
-        if not bounds.contains(*coord):
-            raise ValueError(f"layout coordinate {coord} outside {bounds}")
+    for coord, value in layout.checked(field, bounds):
         rows.append({bounds.index(*coord): one_v})
         rhs.append(value)
         provenance.append(f"layout ({coord[0]},{coord[1]})")
@@ -191,21 +190,12 @@ def classify_and_solve(system: LinearSystem) -> OracleResult:
             tuple(Scalar(field, combo[i]) if i in combo else zero_s for i in range(len(rhs))),
             Scalar(field, rhs[bad])))
 
-    reduce = field.reduce
-    if len(pivots) == nvars:
-        values = [None] * nvars
-        for col, i in reversed(pivots):
-            x = rhs[i]
-            for k, a in rows[i].items():
-                x -= a * values[k]
-            values[col] = reduce(x)
-        return OracleResult(UNIQUE, assignment={
-            var: Scalar(field, x) for var, x in zip(system.variables, values)})
-
     # Reduce the pivot rows fully (last pivot first), so each holds only free
     # columns; a pivot variable is forced (same value in every solution) iff
-    # its row is then empty. Fill-in lands in free columns only, so the rows
-    # holding each pivot column are known up front.
+    # its row is then empty, so with no free column every variable is. Fill-in
+    # lands in free columns only, so the rows holding each pivot column are
+    # known up front.
+    reduce = field.reduce
     holders: dict[int, list[int]] = {col: [] for col in pivot_of}
     for _, i in pivots:
         for k in rows[i]:
@@ -220,6 +210,8 @@ def classify_and_solve(system: LinearSystem) -> OracleResult:
                 rhs[j] = reduce(rhs[j] - factor * pivot_rhs)
     forced = {system.variables[col]: Scalar(field, rhs[i])
               for col, i in pivots if not rows[i]}
+    if len(pivots) == nvars:   # pivots are in column order, so is the assignment
+        return OracleResult(UNIQUE, assignment=forced)
     free = next(col for col in range(nvars) if col not in pivot_of)
     return OracleResult(UNDERDETERMINED, forced=forced,
                         free_witness=system.variables[free])
@@ -264,34 +256,26 @@ def oracle_equals_fill(result: OracleResult, fill_result) -> tuple[bool, list[st
     complete <-> unique with cell-identical values; partial <-> underdetermined
     with every filled cell forced to the same value; inconsistent <-> inconsistent.
     """
-    diffs: list[str] = []
     status = fill_result.status
-    if status == "complete":
-        if result.kind != UNIQUE:
-            return False, [f"fill complete but oracle {result.kind}"]
-        assert result.assignment is not None
-        for r, c, v in fill_result.window.known_cells():
-            ov = result.assignment[(r, c)]
-            if ov != v:
-                diffs.append(f"({r},{c}): fill {v.render()} oracle {ov.render()}")
-        return (not diffs), diffs
-    if status == "partial":
-        if result.kind != UNDERDETERMINED:
-            return False, [f"fill partial but oracle {result.kind}"]
-        assert result.forced is not None
-        for r, c, v in fill_result.window.known_cells():
-            if (r, c) not in result.forced:
-                diffs.append(f"({r},{c}): fill derived {v.render()} but oracle "
-                             "does not force this cell")
-            elif result.forced[(r, c)] != v:
-                diffs.append(f"({r},{c}): fill {v.render()} oracle forces "
-                             f"{result.forced[(r, c)].render()}")
-        return (not diffs), diffs
-    if status == "inconsistent":
-        if result.kind != INCONSISTENT:
-            return False, [f"fill inconsistent but oracle {result.kind}"]
+    expected = {"complete": UNIQUE, "partial": UNDERDETERMINED,
+                "inconsistent": INCONSISTENT}.get(status)
+    if expected is None:
+        return False, [f"unrecognized fill status {status!r}"]
+    if result.kind != expected:
+        return False, [f"fill {status} but oracle {result.kind}"]
+    if result.kind == INCONSISTENT:
         return True, []
-    return False, [f"unrecognized fill status {status!r}"]
+    values, verb = ((result.assignment, "oracle") if result.kind == UNIQUE
+                    else (result.forced, "oracle forces"))
+    diffs: list[str] = []
+    for r, c, v in fill_result.window.known_cells():
+        ov = values.get((r, c))
+        if ov is None:
+            diffs.append(f"({r},{c}): fill derived {v.render()} but oracle "
+                         "does not force this cell")
+        elif ov != v:
+            diffs.append(f"({r},{c}): fill {v.render()} {verb} {ov.render()}")
+    return (not diffs), diffs
 
 
 def layout_is_valid(overlay: Overlay, layout: Layout, bounds: Bounds) -> bool:

@@ -159,15 +159,10 @@ def apply_template(t: Template, w: ArrayWindow) -> ArrayWindow | None:
     every source cell it reads is Known. Returns None when no cell admits the
     full stencil (the result rectangle would be empty).
     """
-    if t.is_zero():
-        out = ArrayWindow(w.bounds, t.field)
-        for r, c in w.bounds.coords():
-            out.set(r, c, zero(t.field))
-        return out
-    max_i = max(i for i, _ in t.terms)
-    min_i = min(i for i, _ in t.terms)
-    max_j = max(j for _, j in t.terms)
-    min_j = min(j for _, j in t.terms)
+    max_i = max((i for i, _ in t.terms), default=0)
+    min_i = min((i for i, _ in t.terms), default=0)
+    max_j = max((j for _, j in t.terms), default=0)
+    min_j = min((j for _, j in t.terms), default=0)
     b = w.bounds
     r_lo, r_hi = b.r_min + max_i, b.r_max + min_i
     c_lo, c_hi = b.c_min + max_j, b.c_max + min_j

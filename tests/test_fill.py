@@ -12,16 +12,16 @@ from hypothesis import given, settings, strategies as st
 
 from recur2d import (ArrayWindow, Bounds, COMPLETE, CoordinateNotInLayout,
                      FillResult, FillStep, FrozenWindowError, INCONSISTENT,
-                     LayoutOutOfWindow, Overlay, PARTIAL, ParseError, RATIONALS, Scalar,
-                     ShapeMismatch, SupportCaseResult, SupportReport,
-                     basis_array, check_support_cases, custom_layout,
+                     LayoutOutOfWindow, MixedFieldError, Overlay, PARTIAL, ParseError,
+                     RATIONALS, Scalar, ShapeMismatch, SupportCaseResult, SupportReport,
+                     assemble_system, basis_array, check_support_cases, custom_layout,
                      delta_values, diagonal_layout, fill,
                      fill_diagonal, finite_contribution_report, from_int,
-                     from_fraction, indicator_values, one, parse_template,
-                     prime_field, random_values, replay, standard_layout,
-                     steps_from_jsonl, steps_to_jsonl, superpose,
-                     window_from_cells, window_linear_combine, zero,
-                     zero_values)
+                     from_fraction, indicator_values, layout_is_valid, one,
+                     parse_template, prime_field, random_values, replay,
+                     solve_problem, standard_layout, steps_from_jsonl,
+                     steps_to_jsonl, superpose, window_from_cells,
+                     window_linear_combine, zero, zero_values)
 from recur2d.errors import NonStandardLayout
 from conftest import make_random_overlay
 
@@ -486,10 +486,34 @@ class TestStatuses:
         assert len(res.unfilled) == 16
         assert res.steps == ()
 
-    def test_layout_outside_window_rejected(self, example_overlay):
-        lay = custom_layout({(99, 99): s(1)})
-        with pytest.raises(LayoutOutOfWindow):
-            fill(example_overlay, lay, Bounds(0, 3, 0, 3))
+    @pytest.mark.parametrize("consumer", [
+        pytest.param(fill, id="fill"),
+        pytest.param(lambda o, lay, b: replay(o, lay, (), b), id="replay"),
+        pytest.param(superpose, id="superpose"),
+        pytest.param(lambda o, lay, b: basis_array(o, lay, (0, 0), b), id="basis_array"),
+        pytest.param(lambda o, lay, b: finite_contribution_report(o, lay, b, (0, 0)),
+                     id="finite_contribution_report"),
+        pytest.param(assemble_system, id="assemble_system"),
+        pytest.param(solve_problem, id="solve_problem"),
+        pytest.param(layout_is_valid, id="layout_is_valid"),
+    ])
+    @pytest.mark.parametrize("bad, error, message", [
+        pytest.param({(0, 1): from_int(3, prime_field(7))}, MixedFieldError,
+                     "cell value field F_7 does not match window field Q", id="foreign-field"),
+        pytest.param({(99, 99): s(1)}, LayoutOutOfWindow,
+                     "layout coordinate (99, 99) outside "
+                     "Bounds(r_min=-1, r_max=3, c_min=-1, c_max=3)", id="out-of-window"),
+    ])
+    def test_every_consumer_refuses_a_bad_layout(self, example_overlay, example_bounds,
+                                                 consumer, bad, error, message):
+        """The fill family and the oracle refuse a foreign-field value or an
+        out-of-window coordinate with one exception and one text."""
+        lay = standard_layout(example_overlay, example_bounds, 0, 0,
+                              delta_values(RATIONALS))
+        lay = custom_layout({**lay.prescribed, **bad})
+        with pytest.raises(error) as info:
+            consumer(example_overlay, lay, example_bounds)
+        assert type(info.value) is error and str(info.value) == message
 
     def test_result_window_is_frozen(self, example_overlay, example_bounds):
         lay = standard_layout(example_overlay, example_bounds, 0, 0,

@@ -1,5 +1,6 @@
 """The independent exact linear-algebra route and its agreement with fill."""
 
+import dataclasses
 import pathlib
 import random
 from fractions import Fraction
@@ -214,6 +215,47 @@ class TestInconsistent:
             solve_problem(example_overlay, bad, example_bounds),
             fill(example_overlay, bad, example_bounds))
         assert agree, diffs
+
+
+class TestAgreementTexts:
+    """Every text ``oracle_equals_fill`` reports, pinned word for word."""
+
+    def test_complete_fill_off_by_one(self, example_overlay, example_bounds):
+        lay = standard_layout(example_overlay, example_bounds, 0, 0,
+                              delta_values(RATIONALS))
+        fres = fill(example_overlay, lay, example_bounds)
+        result = solve_problem(example_overlay, lay, example_bounds)
+        assert oracle_equals_fill(result, fres) == (True, [])
+        window = fres.window.copy()
+        window.set(2, 2, window.get(2, 2) + s(1))   # the recurrence gives 13
+        assert oracle_equals_fill(result, dataclasses.replace(fres, window=window)) == (
+            False, ["(2,2): fill 14 oracle 13"])
+
+    def test_partial_fill_changed_and_unforced_cells(self, example_overlay,
+                                                     example_bounds):
+        band = custom_layout({(0, c): s(1 if c == 0 else 0) for c in range(-1, 4)},
+                             example_bounds)   # forces row 0 only
+        fres = fill(example_overlay, band, example_bounds)
+        result = solve_problem(example_overlay, band, example_bounds)
+        assert (fres.status, result.kind) == ("partial", UNDERDETERMINED)
+        assert oracle_equals_fill(result, fres) == (True, [])
+        window = fres.window.copy()
+        window.set(0, 1, s(5))
+        window.set(2, 2, s(7))
+        assert oracle_equals_fill(result, dataclasses.replace(fres, window=window)) == (
+            False, ["(0,1): fill 5 oracle forces 0",
+                    "(2,2): fill derived 7 but oracle does not force this cell"])
+
+    def test_status_mismatch_and_unknown_status(self, example_overlay, example_bounds):
+        lay = standard_layout(example_overlay, example_bounds, 0, 0,
+                              delta_values(RATIONALS))
+        fres = fill(example_overlay, lay, example_bounds)
+        result = solve_problem(example_overlay, lay, example_bounds)
+        for status in ("partial", "inconsistent"):
+            assert oracle_equals_fill(result, dataclasses.replace(fres, status=status)) == (
+                False, [f"fill {status} but oracle unique"])
+        assert oracle_equals_fill(result, dataclasses.replace(fres, status="finished")) == (
+            False, ["unrecognized fill status 'finished'"])
 
 
 class TestValidity:
