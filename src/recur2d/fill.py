@@ -12,8 +12,9 @@ and is visited when the count reaches one, in the order a restart scan
 (rescanning the placement list until a sweep solves nothing) would solve it,
 so the step log is that scan's. ``_evaluate``, the only code that computes a
 solved value, runs its plan on a flat row-major list of raw payloads (None for
-Unknown; ``Bounds.index``). The basis family runs no fill: one schedule, then
-one evaluation per indicator seed.
+Unknown; ``Bounds.index``); over Q it runs on int numerator/denominator pairs
+and writes one Fraction back per solved cell. The basis family runs no fill:
+one schedule, then one evaluation per indicator seed.
 
 Every fully-Known placement that solved no cell is then checked (a solving
 placement's residual is zero by construction); a nonzero residual makes the
@@ -29,8 +30,10 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterator
 
 from .errors import CoordinateNotInLayout, NonStandardLayout, ParseError, ShapeMismatch
@@ -165,14 +168,45 @@ def _schedule(coords: list[tuple[int, int]], bounds: Bounds, placements: list[tu
 
 def _evaluate(plan: list[tuple], cells: list, stencil: list[tuple], field: FieldDescriptor) -> list:
     """Solve the plan's targets in order on ``cells``, in place, skipping zero
-    terms, the target (still Unknown, None) and the multiply of a zero sum."""
+    terms, the target (still Unknown, None) and the pivot division of a zero sum.
+
+    Over Q the loop runs on int numerator/denominator pairs, each in lowest
+    terms with den > 0, fraction-free in the spirit of Bareiss (Math. Comp.
+    1968): the stencil is scaled to ints by the lcm of its denominators (c*P
+    annihilates what P does); a step cross-multiplies only where two
+    denominators differ, divides by the negated scaled pivot and reduces once.
+    One Fraction per solved cell is built after the loop; solved zeros share one."""
     start = zero(field).value
-    for at, target, neg_inv in plan:
-        known = start
-        for offset, b, _, _ in stencil:
-            if v := cells[at + offset]:
-                known += b * v
-        cells[target] = field.reduce(known * neg_inv) if known else start
+    if field.p is not None or not plan:
+        for at, target, neg_inv in plan:
+            known = start
+            for offset, b, _, _ in stencil:
+                if v := cells[at + offset]:
+                    known += b * v
+            cells[target] = field.reduce(known * neg_inv) if known else start
+        return cells
+    scale = math.lcm(*(b.denominator for _, b, _, _ in stencil))
+    terms = [(offset, b.numerator * (scale // b.denominator)) for offset, b, _, _ in stencil]
+    neg_pivot = {offset: -c for offset, c in terms}   # a plan step's pivot is target - at
+    nums = [v.numerator if v else 0 for v in cells]   # Unknown reads as zero: skipped
+    dens = [v.denominator if v else 1 for v in cells]
+    for at, target, _ in plan:
+        num, den = 0, 1
+        for offset, c in terms:
+            if n := nums[at + offset]:
+                d = dens[at + offset]
+                if d == den:
+                    num += c * n
+                else:
+                    num, den = num * d + c * n * den, den * d
+        if num:
+            den *= neg_pivot[target - at]
+            if den < 0:
+                num, den = -num, -den
+            g = math.gcd(num, den)
+            nums[target], dens[target] = num // g, den // g
+    for _, target, _ in plan:
+        cells[target] = Fraction(nums[target], dens[target]) if nums[target] else start
     return cells
 
 

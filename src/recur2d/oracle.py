@@ -205,7 +205,8 @@ def classify_and_solve(system: LinearSystem) -> OracleResult:
         pivot_row, pivot_rhs = rows[i], rhs[i]
         for j in holders[col]:
             factor = rows[j].pop(col)
-            _subtract(rows[j], factor, pivot_row, reduce)
+            if pivot_row:   # every pivot row of a unique system is empty here
+                _subtract(rows[j], factor, pivot_row, reduce)
             if pivot_rhs:
                 rhs[j] = reduce(rhs[j] - factor * pivot_rhs)
     forced = {system.variables[col]: Scalar(field, rhs[i])

@@ -6,6 +6,7 @@ import math
 import random
 from fractions import Fraction
 from functools import lru_cache
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -337,6 +338,101 @@ def test_rational_fill_reduces_mod_p(seed, standard):
             == p.window.get(r, c)
     if q.status != "inconsistent":
         assert p.status == q.status
+
+
+def fractional_overlay(rng: random.Random) -> Overlay:
+    """A random overlay's zero pattern over Q with each nonzero coefficient an
+    integer or a fraction such as 1/2, -2/3 or 5/7, so that pivots can be
+    negative and non-integer."""
+    o = make_random_overlay(rng, RATIONALS)
+    return Overlay(RATIONALS, [
+        [from_fraction(rng.choice((-1, 1)) * rng.randint(1, 7), rng.choice((1, 1, 2, 3, 7)),
+                       RATIONALS) if o.coefficient(i, j) else zero(RATIONALS)
+         for j in range(o.n + 1)] for i in range(o.m + 1)])
+
+
+def typed_payloads(window):
+    """The window's payloads row-major, each with its type."""
+    return [None if (v := window.get(*cell)) is None else (type(v.value), v.value)
+            for cell in window.bounds.coords()]
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), standard=st.booleans(),
+       order_seed=st.none() | st.integers(0, 10**6))
+def test_fractional_rational_fill_matches_restart_sweep(seed, standard, order_seed):
+    # Over Q the engine evaluates on int numerator/denominator pairs; the
+    # restart sweep divides Scalars. Custom layouts end partial or inconsistent.
+    rng = random.Random(seed)
+    o = fractional_overlay(rng)
+    r0, c0 = rng.randint(-3, 0), rng.randint(-3, 0)
+    b = Bounds(r0, r0 + rng.randint(0, 6), c0, c0 + rng.randint(0, 6))
+    values = random_values(seed, RATIONALS)
+    lay = None
+    if standard:
+        try:
+            lay = standard_layout(o, b, rng.randint(b.c_min, b.c_max),
+                                  rng.randint(b.c_min, b.c_max), values)
+        except LayoutOutOfWindow:   # the window cannot host this overlay's layout
+            pass
+    if lay is None:
+        lay = custom_layout({cell: values(cell) for cell in b.coords() if rng.random() < 0.4}, b)
+    got = fill(o, lay, b, order_seed=order_seed)
+    want = restart_sweep_fill(o, lay, b, order_seed)
+    assert steps_to_jsonl(got.steps) == steps_to_jsonl(want.steps)
+    assert typed_payloads(got.window) == typed_payloads(want.window)
+    assert (got.status, got.unfilled, got.witness) \
+        == (want.status, want.unfilled, want.witness)
+    assert typed_payloads(replay(o, lay, got.steps, b)) == typed_payloads(want.window)
+    row_major = want if order_seed is None else restart_sweep_fill(o, lay, b)
+    assert typed_payloads(superpose(o, lay, b)) == typed_payloads(row_major.window)
+    for coord in lay.coords[:3]:
+        indicator = restart_sweep_fill(o, lay.with_values(indicator_values(coord, RATIONALS)), b)
+        assert typed_payloads(basis_array(o, lay, coord, b)) == typed_payloads(indicator.window)
+
+
+def reference_evaluate(plan, cells, stencil, field):
+    """``_evaluate`` as it ran on Fraction payloads over Q, before the int
+    pairs: the reference for the fraction-free loop."""
+    start = zero(field).value
+    for at, target, neg_inv in plan:
+        known = start
+        for offset, b, _, _ in stencil:
+            if v := cells[at + offset]:
+                known += b * v
+        cells[target] = field.reduce(known * neg_inv) if known else start
+    return cells
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), zeros=st.booleans(), shuffled=st.booleans())
+def test_rational_evaluate_matches_fraction_reference(seed, zeros, shuffled):
+    rng = random.Random(seed)
+    o = fractional_overlay(rng)
+    r0, c0 = rng.randint(-3, 0), rng.randint(-3, 0)
+    b = Bounds(r0, r0 + rng.randint(0, 7), c0, c0 + rng.randint(0, 7))
+    values = zero_values(RATIONALS) if zeros else random_values(seed, RATIONALS)
+    lay = custom_layout({cell: values(cell) for cell in b.coords() if rng.random() < 0.5}, b)
+    cells, stencil = fill_module._seed(o, lay, b)
+    placements = o.placements_within(b)
+    if shuffled:
+        rng.shuffle(placements)
+    plan, _, _ = fill_module._schedule(lay.coords, b, placements, stencil)
+
+    def canonical(num, den):
+        # Every pair the loop stores is in lowest terms with den > 0, so no
+        # denominator is overestimated and no value outgrows its reduced form.
+        assert den > 0 and math.gcd(num, den) == 1, (num, den)
+        return Fraction(num, den)
+
+    for steps in (plan, []):
+        with mock.patch.object(fill_module, "Fraction", canonical):
+            got = fill_module._evaluate(steps, cells[:], stencil, RATIONALS)
+        want = reference_evaluate(steps, cells[:], stencil, RATIONALS)
+        assert [(type(v), v) for v in got] == [(type(v), v) for v in want]
+        # Seeded cells keep their payload objects; the solved zeros share one.
+        assert all(got[k] is v for k, v in enumerate(cells) if v is not None)
+        assert len({id(got[target]) for _, target, _ in steps if not got[target]}) <= 1
 
 
 class TestStepLog:
