@@ -10,11 +10,14 @@ then checks. ``_schedule`` is a counter worklist over coordinates (Dowling &
 Gallier, J. Logic Programming 1984): each placement counts its Unknown cells
 and is visited when the count reaches one, in the order a restart scan
 (rescanning the placement list until a sweep solves nothing) would solve it,
-so the step log is that scan's. ``_evaluate``, the only code that computes a
-solved value, runs its plan on a flat row-major list of raw payloads (None for
-Unknown; ``Bounds.index``); over Q it runs on int numerator/denominator pairs
-and writes one Fraction back per solved cell. The basis family runs no fill:
-one schedule, then one evaluation per indicator seed.
+so the step log is that scan's. It returns one plan object, as ``_compile`` does
+for a step log read back, and everything after reads that plan. ``_evaluate``,
+the only code that computes a solved value, runs it on a flat row-major list of
+raw payloads (None for Unknown; ``Bounds.index``); over Q it runs on int
+numerator/denominator pairs and writes one Fraction back per solved cell. A
+fill's step log is built from the plan and the result's payloads only when
+``FillResult.steps`` is first read. The basis family runs no fill: one
+schedule, then one evaluation per indicator seed.
 
 Every fully-Known placement that solved no cell is then checked (a solving
 placement's residual is zero by construction); a nonzero residual makes the
@@ -50,7 +53,8 @@ PARTIAL = "partial"
 @dataclass(frozen=True)
 class FillStep:
     """One solve: at ``placement``, cell ``solved`` was the only Unknown and
-    took ``value``; ``pivot`` is the overlay grid index of its coefficient."""
+    took ``value``; ``pivot`` is the overlay grid index of its coefficient.
+    A fill builds its FillSteps only when ``FillResult.steps`` is first read."""
 
     placement: tuple[int, int]
     solved: tuple[int, int]
@@ -63,10 +67,45 @@ class FillStep:
 
 
 @dataclass(frozen=True)
+class _Plan:
+    """What a schedule, or a compiled step log, decides from coordinates alone: one
+    (placement's flat index, target, -1/pivot) per solve in ``steps``, each solve's
+    (placement, pivot), and the fully Known placements left to check."""
+
+    field: FieldDescriptor
+    stencil: list[tuple]
+    steps: list[tuple]
+    solves: list[tuple]
+    checks: list[tuple[int, int]]
+
+
+class _StepLog:
+    """``FillResult.steps``: a tuple of FillSteps, or the fill's plan until first read,
+    when the tuple is built from the plan and the result window's payload list."""
+
+    def __get__(self, result, owner=None):
+        if result is None:
+            raise AttributeError("steps")   # so the dataclass field has no default
+        steps = vars(result)["steps"]
+        if isinstance(steps, _Plan):
+            fd, cells = steps.field, result.window._cells
+            steps = vars(result)["steps"] = tuple(
+                FillStep((r, c), (r - i, c - j), (i, j), Scalar(fd, cells[target]))
+                for ((r, c), (i, j)), (_, target, _) in zip(steps.solves, steps.steps))
+        return steps
+
+    def __set__(self, result, steps):
+        vars(result)["steps"] = steps
+
+
+@dataclass(frozen=True)
 class FillResult:
+    """A fill's frozen window, status, step log, Unknown cells (row-major) and,
+    when inconsistent, the first placement whose residual is nonzero."""
+
     window: ArrayWindow
     status: str
-    steps: tuple[FillStep, ...]
+    steps: tuple[FillStep, ...] = _StepLog()
     unfilled: tuple[tuple[int, int], ...] = ()
     witness: tuple[int, int] | None = None
 
@@ -114,23 +153,22 @@ def _stencil(overlay: Overlay, bounds: Bounds) -> list[tuple]:
              pow(-b.value, -1, b.field.p), (i, j)) for i, j, b in overlay.nonzero_cells()]
 
 
-def _seed(overlay: Overlay, layout: Layout, bounds: Bounds) -> tuple[list, list[tuple]]:
-    """The window as a flat row-major list of payloads (None for Unknown), and
-    the overlay's ``_stencil``."""
+def _seed(overlay: Overlay, layout: Layout, bounds: Bounds) -> list:
+    """The window as a flat row-major list of payloads, None for Unknown."""
     cells = [None] * (bounds.height * bounds.width)
     for coord, value in layout.checked(overlay.field, bounds):
         cells[bounds.index(*coord)] = value.value
-    return cells, _stencil(overlay, bounds)
+    return cells
 
 
-def _schedule(coords: list[tuple[int, int]], bounds: Bounds, placements: list[tuple[int, int]],
-              stencil: list[tuple]) -> tuple[list, list, list]:
+def _schedule(overlay: Overlay, coords: list[tuple[int, int]], bounds: Bounds,
+              placements: list[tuple[int, int]]) -> _Plan:
     """Solve from the Known cells at ``coords`` to the fixpoint on coordinates alone, as a
     restart scan of ``placements`` would: a placement whose Unknown count drops to one is
     queued by (sweep, position), in this sweep if after the solve that readied it, else
-    the next; one whose count has since reached zero is skipped. Returns the plan, one
-    (placement's flat index, target, -1/pivot) per solve; each solve's (placement, pivot);
-    and, row-major, the placements that end fully Known without solving a cell."""
+    the next; one whose count has since reached zero is skipped. The plan's checks are,
+    row-major, the placements that end fully Known without solving a cell."""
+    stencil = _stencil(overlay, bounds)
     known = bytearray(bounds.height * bounds.width)
     at = [bounds.index(r, c) for r, c in placements]
     position = {x: k for k, x in enumerate(at)}
@@ -163,10 +201,11 @@ def _schedule(coords: list[tuple[int, int]], bounds: Bounds, placements: list[tu
                 if unknowns[q] == 1:
                     heapq.heappush(ready, (sweep if q > k else sweep + 1, q))
         unknowns[k] = -1   # solved: its residual is zero by construction, no check
-    return plan, solves, sorted(placements[k] for k, count in enumerate(unknowns) if count == 0)
+    return _Plan(overlay.field, stencil, plan, solves,
+                 sorted(placements[k] for k, count in enumerate(unknowns) if count == 0))
 
 
-def _evaluate(plan: list[tuple], cells: list, stencil: list[tuple], field: FieldDescriptor) -> list:
+def _evaluate(plan: _Plan, cells: list) -> list:
     """Solve the plan's targets in order on ``cells``, in place, skipping zero
     terms, the target (still Unknown, None) and the pivot division of a zero sum.
 
@@ -176,9 +215,10 @@ def _evaluate(plan: list[tuple], cells: list, stencil: list[tuple], field: Field
     annihilates what P does); a step cross-multiplies only where two
     denominators differ, divides by the negated scaled pivot and reduces once.
     One Fraction per solved cell is built after the loop; solved zeros share one."""
+    field, stencil = plan.field, plan.stencil
     start = zero(field).value
-    if field.p is not None or not plan:
-        for at, target, neg_inv in plan:
+    if field.p is not None or not plan.steps:
+        for at, target, neg_inv in plan.steps:
             known = start
             for offset, b, _, _ in stencil:
                 if v := cells[at + offset]:
@@ -190,7 +230,7 @@ def _evaluate(plan: list[tuple], cells: list, stencil: list[tuple], field: Field
     neg_pivot = {offset: -c for offset, c in terms}   # a plan step's pivot is target - at
     nums = [v.numerator if v else 0 for v in cells]   # Unknown reads as zero: skipped
     dens = [v.denominator if v else 1 for v in cells]
-    for at, target, _ in plan:
+    for at, target, _ in plan.steps:
         num, den = 0, 1
         for offset, c in terms:
             if n := nums[at + offset]:
@@ -205,30 +245,29 @@ def _evaluate(plan: list[tuple], cells: list, stencil: list[tuple], field: Field
                 num, den = -num, -den
             g = math.gcd(num, den)
             nums[target], dens[target] = num // g, den // g
-    for _, target, _ in plan:
+    for _, target, _ in plan.steps:
         cells[target] = Fraction(nums[target], dens[target]) if nums[target] else start
     return cells
 
 
 def _fill_in_order(overlay: Overlay, layout: Layout, bounds: Bounds,
                    placements: list[tuple[int, int]]) -> FillResult:
-    """Seed, schedule in the order of ``placements``, evaluate, then check."""
+    """Seed, schedule in the order of ``placements``, evaluate, then check; the
+    result's step log is built from the plan when first read."""
     fd = overlay.field
-    cells, stencil = _seed(overlay, layout, bounds)
-    plan, solves, checks = _schedule(layout.coords, bounds, placements, stencil)
-    _evaluate(plan, cells, stencil, fd)
-    steps = tuple(FillStep((r, c), (r - i, c - j), (i, j), Scalar(fd, cells[target]))
-                  for ((r, c), (i, j)), (_, target, _) in zip(solves, plan))
-    witness = next((p for p in checks if fd.reduce(sum(
-        b * cells[bounds.index(*p) + offset] for offset, b, _, _ in stencil))), None)
-    unfilled = tuple(coord for coord, v in zip(bounds.coords(), cells) if v is None)
+    cells = _seed(overlay, layout, bounds)
+    plan = _schedule(overlay, layout.coords, bounds, placements)
+    window = ArrayWindow._adopt(bounds, fd, _evaluate(plan, cells))
+    witness = next((p for p in plan.checks if fd.reduce(sum(
+        b * cells[bounds.index(*p) + offset] for offset, b, _, _ in plan.stencil))), None)
+    unfilled = tuple(window.unknown_coords())
     status = INCONSISTENT if witness is not None else PARTIAL if unfilled else COMPLETE
-    return FillResult(ArrayWindow._adopt(bounds, fd, cells), status, steps, unfilled, witness)
+    return FillResult(window, status, plan, unfilled, witness)
 
 
 def _compile(overlay: Overlay, coords: list[tuple[int, int]], bounds: Bounds,
-             steps: tuple[FillStep, ...]) -> list[tuple]:
-    """The step log as a plan in ``_schedule``'s form. Reads coordinates only:
+             steps: tuple[FillStep, ...]) -> _Plan:
+    """The step log as a plan, with no checks. Reads coordinates only:
     with the cells at ``coords`` Known, raises ValueError when a step's placement
     lies off the window or its one Unknown is not its logged cell and pivot."""
     stencil = _stencil(overlay, bounds)
@@ -245,7 +284,7 @@ def _compile(overlay: Overlay, coords: list[tuple[int, int]], bounds: Bounds,
         [(offset, _, neg_inv, _)] = unknown
         known.add(at + offset)
         plan.append((at, at + offset, neg_inv))
-    return plan
+    return _Plan(overlay.field, stencil, plan, [(step.placement, step.pivot) for step in steps], [])
 
 
 def fill(overlay: Overlay, layout: Layout, bounds: Bounds, *,
@@ -267,8 +306,8 @@ def replay(overlay: Overlay, layout: Layout, steps: tuple[FillStep, ...],
     """Re-execute a step log, from any scan order, from the layout seed:
     compiled and then evaluated; raises if any step no longer applies."""
     fd = overlay.field
-    cells, stencil = _seed(overlay, layout, bounds)
-    _evaluate(_compile(overlay, layout.coords, bounds, steps), cells, stencil, fd)
+    cells = _seed(overlay, layout, bounds)   # checks the layout before any step
+    _evaluate(_compile(overlay, layout.coords, bounds, steps), cells)
     for step in steps:
         redone = cells[bounds.index(*step.solved)]
         if redone != step.value.value or step.value.field != fd:
@@ -344,14 +383,14 @@ def _basis_windows(overlay: Overlay, layout: Layout, bounds: Bounds,
     """(coord, the flat payload list of E(coord)) for each layout coordinate in ``coords``:
     the layout is scheduled once, row-major, and the plan evaluated per indicator seed."""
     fd = overlay.field
-    seed, stencil = _seed(overlay, layout, bounds)
-    plan, _, _ = _schedule(layout.coords, bounds, overlay.placements_within(bounds), stencil)
+    seed = _seed(overlay, layout, bounds)
+    plan = _schedule(overlay, layout.coords, bounds, overlay.placements_within(bounds))
     zero_v = zero(fd).value
     zeros = [None if v is None else zero_v for v in seed]
     for coord in coords:
         cells = zeros[:]
         cells[bounds.index(*coord)] = one(fd).value
-        yield coord, _evaluate(plan, cells, stencil, fd)
+        yield coord, _evaluate(plan, cells)
 
 
 def superpose(overlay: Overlay, layout: Layout, bounds: Bounds) -> ArrayWindow:

@@ -256,6 +256,12 @@ def oracle_equals_fill(result: OracleResult, fill_result) -> tuple[bool, list[st
 
     complete <-> unique with cell-identical values; partial <-> underdetermined
     with every filled cell forced to the same value; inconsistent <-> inconsistent.
+    Propagation can stall where elimination still decides: Unknown cells that two
+    or more placements share (seen on custom layouts) leave the fill partial while
+    the system is unique or inconsistent, and this reports "fill partial but
+    oracle unique" (or inconsistent), so ``oracle-diff`` exits 4. The fill's own
+    claims hold even then: its Known cells are forced to the same values,
+    complete implies unique, and inconsistent implies inconsistent.
     """
     status = fill_result.status
     expected = {"complete": UNIQUE, "partial": UNDERDETERMINED,

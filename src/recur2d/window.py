@@ -111,7 +111,10 @@ class ArrayWindow:
                 yield (r, c, Scalar(self.field, v))
 
     def unknown_coords(self) -> list[tuple[int, int]]:
-        return [coord for coord, v in zip(self.bounds.coords(), self._cells) if v is None]
+        """Unknown coordinates, row-major; a tuple is built for Unknown cells only."""
+        b, width = self.bounds, self.bounds.width
+        return [(b.r_min + k // width, b.c_min + k % width)
+                for k, v in enumerate(self._cells) if v is None]
 
     def is_complete(self) -> bool:
         return all(v is not None for v in self._cells)

@@ -1,8 +1,11 @@
 """The fill engine: golden values, step log, invariance properties, bases."""
 
+import copy
 import dataclasses
 import importlib
+import inspect
 import math
+import pickle
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -413,11 +416,11 @@ def test_rational_evaluate_matches_fraction_reference(seed, zeros, shuffled):
     b = Bounds(r0, r0 + rng.randint(0, 7), c0, c0 + rng.randint(0, 7))
     values = zero_values(RATIONALS) if zeros else random_values(seed, RATIONALS)
     lay = custom_layout({cell: values(cell) for cell in b.coords() if rng.random() < 0.5}, b)
-    cells, stencil = fill_module._seed(o, lay, b)
+    cells = fill_module._seed(o, lay, b)
     placements = o.placements_within(b)
     if shuffled:
         rng.shuffle(placements)
-    plan, _, _ = fill_module._schedule(lay.coords, b, placements, stencil)
+    scheduled = fill_module._schedule(o, lay.coords, b, placements)
 
     def canonical(num, den):
         # Every pair the loop stores is in lowest terms with den > 0, so no
@@ -425,14 +428,14 @@ def test_rational_evaluate_matches_fraction_reference(seed, zeros, shuffled):
         assert den > 0 and math.gcd(num, den) == 1, (num, den)
         return Fraction(num, den)
 
-    for steps in (plan, []):
+    for plan in (scheduled, dataclasses.replace(scheduled, steps=[])):
         with mock.patch.object(fill_module, "Fraction", canonical):
-            got = fill_module._evaluate(steps, cells[:], stencil, RATIONALS)
-        want = reference_evaluate(steps, cells[:], stencil, RATIONALS)
+            got = fill_module._evaluate(plan, cells[:])
+        want = reference_evaluate(plan.steps, cells[:], plan.stencil, RATIONALS)
         assert [(type(v), v) for v in got] == [(type(v), v) for v in want]
         # Seeded cells keep their payload objects; the solved zeros share one.
         assert all(got[k] is v for k, v in enumerate(cells) if v is not None)
-        assert len({id(got[target]) for _, target, _ in steps if not got[target]}) <= 1
+        assert len({id(got[target]) for _, target, _ in plan.steps if not got[target]}) <= 1
 
 
 class TestStepLog:
@@ -616,6 +619,68 @@ class TestStatuses:
                               delta_values(RATIONALS))
         res = fill(example_overlay, lay, example_bounds)
         assert res.window.frozen
+
+
+class TestResultContract:
+    """A fill builds its step log on first read of ``steps``; until then the result
+    behaves as one built with a plain tuple."""
+
+    KINDS = {"fill": COMPLETE, "fill_diagonal": COMPLETE, "inconsistent": INCONSISTENT}
+
+    @staticmethod
+    def unread(kind):
+        """A fresh result of ``kind``, made while FillStep and Scalar refuse to be built."""
+        def refuse(*args):
+            pytest.fail("the fill built a FillStep or a Scalar")
+
+        o, b = overlay_of("X*Y + 3*Y + 2*X - I"), Bounds(-1, 3, -1, 3)
+        lay = standard_layout(o, b, 0, 0, random_values(3, RATIONALS))
+        f7 = prime_field(7)
+        with mock.patch.object(fill_module, "FillStep", refuse), \
+                mock.patch.object(fill_module, "Scalar", refuse):
+            if kind == "fill":
+                return fill(o, lay, b)
+            if kind == "inconsistent":
+                return fill(o, custom_layout({**lay.prescribed, (1, 1): s(999)}, b), b)
+            return fill_diagonal(overlay_of("2*I + 3*Y + 5*X*Y", f7),
+                                 diagonal_layout(3, b, random_values(5, f7)), b)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("op", [
+        pytest.param(lambda res: pickle.loads(pickle.dumps(res)), id="pickle"),
+        pytest.param(copy.copy, id="copy"),
+        pytest.param(copy.deepcopy, id="deepcopy"),
+        pytest.param(dataclasses.replace, id="replace"),
+        pytest.param(dataclasses.asdict, id="asdict"),
+        pytest.param(repr, id="repr"),
+        pytest.param(lambda res: res, id="eq"),
+    ])
+    def test_unread_step_log_behaves_as_a_tuple(self, kind, op):
+        res = self.unread(kind)
+        assert res.status == self.KINDS[kind] and res.steps
+        eager = FillResult(res.window, res.status, tuple(res.steps), res.unfilled, res.witness)
+        got = op(self.unread(kind))
+        assert got == op(eager) and op(eager) == got
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_result_stays_unhashable(self, kind):
+        with pytest.raises(TypeError):
+            hash(self.unread(kind))
+
+    def test_constructor_and_fields_unchanged(self):
+        assert str(inspect.signature(FillResult)) == (
+            "(window: 'ArrayWindow', status: 'str', steps: 'tuple[FillStep, ...]', "
+            "unfilled: 'tuple[tuple[int, int], ...]' = (), "
+            "witness: 'tuple[int, int] | None' = None) -> None")
+        missing = dataclasses.MISSING
+        assert [(f.name, f.type, f.default, f.default_factory, f.init, f.repr, f.hash,
+                 f.compare, f.kw_only) for f in dataclasses.fields(FillResult)] == [
+            ("window", "ArrayWindow", missing, missing, True, True, None, True, False),
+            ("status", "str", missing, missing, True, True, None, True, False),
+            ("steps", "tuple[FillStep, ...]", missing, missing, True, True, None, True, False),
+            ("unfilled", "tuple[tuple[int, int], ...]", (), missing, True, True, None, True,
+             False),
+            ("witness", "tuple[int, int] | None", None, missing, True, True, None, True, False)]
 
 
 class TestLinearity:

@@ -326,6 +326,43 @@ class TestRandomizedAgreement:
         assert checked >= 40
 
 
+class TestStalledCustomLayouts:
+    """On a custom layout, propagation can stall where elimination still decides:
+    the fill ends partial while the oracle finds the system unique or
+    inconsistent, and ``oracle_equals_fill`` reports the mismatch. What the fill
+    claims holds anyway; these tests pin it."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), field=st.sampled_from(FIELDS))
+    def test_fill_claims_hold_on_custom_layouts(self, seed, field):
+        rng = random.Random(seed)
+        o = make_random_overlay(rng, field)
+        r0, c0 = rng.randint(-3, 0), rng.randint(-3, 0)
+        b = Bounds(r0, r0 + o.m + rng.randint(0, 4), c0, c0 + o.n + rng.randint(0, 4))
+        density = rng.uniform(0.2, 0.7)
+        lay = custom_layout({cell: from_int(rng.randint(-2, 2), field)
+                             for cell in b.coords() if rng.random() < density}, b)
+        res, oracle = fill(o, lay, b), solve_problem(o, lay, b)
+        if res.status == "complete":
+            assert oracle.kind == UNIQUE
+        if res.status == INCONSISTENT:
+            assert oracle.kind == INCONSISTENT
+        if oracle.kind != INCONSISTENT:   # every Known fill cell is forced to its value
+            values = oracle.assignment if oracle.kind == UNIQUE else oracle.forced
+            assert all(values.get((r, c)) == v for r, c, v in res.window.known_cells())
+
+    @pytest.mark.xfail(strict=True, reason="propagation stalls on two cells that two "
+                       "placements share; their 2x2 system (determinant -7) is unique")
+    def test_five_value_stall_agrees(self):
+        b = Bounds(0, 1, 0, 3)
+        lay = custom_layout({cell: s(k) for k, cell
+                             in enumerate([(0, 0), (0, 3), (1, 0), (1, 2), (1, 3)], 1)}, b)
+        o = overlay_of("X*Y + 3*Y + 2*X - I")
+        res, oracle = fill(o, lay, b), solve_problem(o, lay, b)
+        assert oracle.kind == UNIQUE   # the fill stalls with (0,1) and (1,1) Unknown
+        assert oracle_equals_fill(oracle, res) == (True, [])
+
+
 class TestAgainstDenseReference:
     @settings(max_examples=300, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), field=st.sampled_from(FIELDS))
