@@ -181,7 +181,7 @@ def _schedule(overlay: Overlay, coords: list[tuple[int, int]], bounds: Bounds,
             if q is not None:
                 unknowns[q] -= 1
     ready = [(0, k) for k, count in enumerate(unknowns) if count == 1]  # sorted: a heap
-    plan, solves = [], []
+    steps, solves = [], []
     while ready:
         sweep, k = heapq.heappop(ready)
         if unknowns[k] != 1:
@@ -192,7 +192,7 @@ def _schedule(overlay: Overlay, coords: list[tuple[int, int]], bounds: Bounds,
                 break
         cell = x + offset
         known[cell] = 1
-        plan.append((x, cell, neg_inv))
+        steps.append((x, cell, neg_inv))
         solves.append((placements[k], pivot))
         for entry in stencil:
             q = position.get(cell - entry[0])
@@ -201,7 +201,7 @@ def _schedule(overlay: Overlay, coords: list[tuple[int, int]], bounds: Bounds,
                 if unknowns[q] == 1:
                     heapq.heappush(ready, (sweep if q > k else sweep + 1, q))
         unknowns[k] = -1   # solved: its residual is zero by construction, no check
-    return _Plan(overlay.field, stencil, plan, solves,
+    return _Plan(overlay.field, stencil, steps, solves,
                  sorted(placements[k] for k, count in enumerate(unknowns) if count == 0))
 
 
@@ -272,7 +272,7 @@ def _compile(overlay: Overlay, coords: list[tuple[int, int]], bounds: Bounds,
     lies off the window or its one Unknown is not its logged cell and pivot."""
     stencil = _stencil(overlay, bounds)
     known = {bounds.index(*coord) for coord in coords}
-    plan = []
+    compiled = []
     for step in steps:
         r, c = step.placement
         if not (bounds.contains(r, c) and bounds.contains(r - overlay.m, c - overlay.n)):
@@ -283,8 +283,9 @@ def _compile(overlay: Overlay, coords: list[tuple[int, int]], bounds: Bounds,
             raise ValueError(f"step {step} does not replay against this layout")
         [(offset, _, neg_inv, _)] = unknown
         known.add(at + offset)
-        plan.append((at, at + offset, neg_inv))
-    return _Plan(overlay.field, stencil, plan, [(step.placement, step.pivot) for step in steps], [])
+        compiled.append((at, at + offset, neg_inv))
+    return _Plan(overlay.field, stencil, compiled,
+                 [(step.placement, step.pivot) for step in steps], [])
 
 
 def fill(overlay: Overlay, layout: Layout, bounds: Bounds, *,
