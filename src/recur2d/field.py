@@ -5,12 +5,13 @@ Every value the engine returns is a :class:`Scalar` — either a
 prime p. Arithmetic is exact; there is no floating-point mode. Scalars are
 immutable and combinable only within one field.
 
-A Scalar's payload is its raw value. The oracle's elimination, and the fill's
-evaluation over GF(p), add and multiply payloads directly and bring each
-result back into the field with :meth:`FieldDescriptor.reduce`; a payload's
-inverse is ``pow(x, -1, fd.p)``, since ``p`` is None over Q. Over Q the fill
-evaluates on int numerator/denominator pairs and builds a Fraction only for
-each cell it solves.
+A Scalar's payload is its raw value. Over GF(p) the oracle's elimination and
+the fill's evaluation add and multiply payloads directly and bring each result
+back into the field mod p, as :meth:`FieldDescriptor.reduce` does; a payload's
+inverse is ``pow(x, -1, fd.p)``, since ``p`` is None over Q. Over Q neither
+runs on Fractions: the fill evaluates on int numerator/denominator pairs and
+builds a Fraction only for each cell it solves, and the oracle eliminates on
+rows scaled to ints and builds Fractions only for the values it returns.
 """
 
 from __future__ import annotations

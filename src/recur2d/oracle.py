@@ -8,9 +8,13 @@ payload dict. Forward elimination with Markowitz pivoting (per column, the
 shortest candidate row pivots) classifies the system as having a unique
 solution, many solutions, or none; one full reduction of the pivot rows then
 reads off the forced cells (every cell, when the solution is unique). Layout
-cells are checked by ``Layout.checked``, as in the fill. Arithmetic runs on raw
-payloads, reduced with ``FieldDescriptor.reduce``; only returned values are
-wrapped as Scalars.
+cells are checked by ``Layout.checked``, as in the fill.
+
+Elimination is fraction-free (after Bareiss): over Q rows are scaled to ints
+and a row update, ``a * row - b * pivot_row``, is divided by its content; over
+GF(p) pivot rows are scaled to 1, so ``a`` is 1. Each system is eliminated
+once: an inconsistent system's certificate is read back from the log of row
+operations by one reverse pass. Only returned values become Fractions or Scalars.
 
 This module never calls the constructive fill engine; it builds its equations
 directly from the overlay and layout, so agreement between the two routes is
@@ -20,7 +24,9 @@ evidence, not tautology.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
 
 from .field import FieldDescriptor, Scalar, one, zero
 from .layout import Layout
@@ -104,43 +110,77 @@ def assemble_system(overlay: Overlay, layout: Layout, bounds: Bounds) -> LinearS
     return LinearSystem(tuple(bounds.coords()), rows, rhs, provenance, field)
 
 
-def _subtract(row: dict, factor, pivot_row: dict, reduce,
-              index: list[set[int]] | None = None, i: int = 0) -> None:
-    """row -= factor * pivot_row in place, dropping entries that cancel; when
-    given, ``index`` (column -> rows holding it) follows row ``i``."""
-    for k, y in pivot_row.items():
-        x = row.get(k)
-        if x is None:
-            row[k] = reduce(-factor * y)
-            if index is not None:
-                index[k].add(i)
-            continue
-        x = reduce(x - factor * y)
-        if x:
-            row[k] = x
-        else:
-            del row[k]
-            if index is not None:
-                index[k].discard(i)
+def _eliminate(rows: list[dict], rhs: list, coef: list, t: int, col: int, targets,
+               field: FieldDescriptor, log: list[int],
+               index: list[set[int]] | None = None) -> None:
+    """Eliminate column ``col`` from the rows ``targets`` with row t, which
+    pivots there with coefficient ``coef[t]``: row i becomes (a * row i - b *
+    row t) / c, rhs and ``coef[i]`` alike, where a/b is coef[t] over row i's
+    entry in lowest terms, a > 0, and c is the content over Q, 1 over GF(p)
+    (where coef[t] is 1). Appends i, a, b, t, c to ``log``; ``index`` (column
+    -> rows holding it), when given, follows every row."""
+    pivot, pivot_row, pivot_rhs, p = coef[t], rows[t], rhs[t], field.p
+    for i in targets:
+        row = rows[i]
+        a, b = 1, row.pop(col)
+        if pivot != 1:
+            g = gcd(pivot, b) if pivot > 0 else -gcd(pivot, b)
+            a, b = pivot // g, b // g
+            if a != 1:
+                for k, x in row.items():
+                    row[k] = a * x
+                rhs[i] *= a
+                coef[i] *= a
+        for k, y in pivot_row.items():
+            x = row.get(k)
+            if x is None:
+                row[k] = -b * y % p if p else -b * y
+                if index is not None:
+                    index[k].add(i)
+                continue
+            x = (x - b * y) % p if p else x - b * y
+            if x:
+                row[k] = x
+            else:
+                del row[k]
+                if index is not None:
+                    index[k].discard(i)
+        if pivot_rhs:
+            rhs[i] = (rhs[i] - b * pivot_rhs) % p if p else rhs[i] - b * pivot_rhs
+        c = 1 if p else gcd(coef[i], rhs[i], *row.values())
+        if c > 1:
+            for k, x in row.items():
+                row[k] = x // c
+            rhs[i] //= c
+            coef[i] //= c
+        log.extend((i, a, b, t, c))
 
 
-def _forward(system: LinearSystem, track_combo: bool):
+def _forward(system: LinearSystem):
     """Forward elimination on copies of the sparse rows, columns in order.
 
-    At each column the candidates are the rows not yet used as pivots that
-    hold it; the shortest pivots (ties to the lowest row index), is scaled
-    to 1 there and stored without that column, and the column is eliminated
-    from the other candidates only. Every row that never pivots ends empty.
-    With ``track_combo`` each row also carries its combination over the
-    original rows, as a sparse dict. Returns (rows, rhs, pivots, combos),
-    pivots listing (column, row) in column order.
+    Over Q each row and its rhs are first scaled to ints by the lcm of their
+    denominators (``scale``). At each column the candidates are the rows not
+    yet used as pivots that hold it; the shortest pivots (ties to the lowest
+    row index), is stored without that column and keeps its coefficient there
+    in ``coef`` (scaled to 1 over GF(p); 0 for rows that never pivot), and the
+    column is eliminated from the other candidates only. Every row stays a
+    nonzero multiple, as a combination of input rows, of the row Fraction
+    elimination gives, so pivots and cancellations are the same, and every row
+    that never pivots ends empty. Returns (rows, rhs, pivots, coef, scale, log),
+    ``log`` a flat list of ints, five per row operation (see :func:`_eliminate`;
+    a GF(p) pivot scaling is row, inverse, 0, row, 1) so the GC never scans it.
     """
     field = system.field
-    reduce, p = field.reduce, field.p
+    p = field.p
     rows = [dict(row) for row in system.sparse_rows]
     rhs = [b.value for b in system.rhs]
-    one_v = one(field).value
-    combos = [{i: one_v} for i in range(len(rows))] if track_combo else None
+    scale, coef, log = [1] * len(rows), [0] * len(rows), []
+    if not p:
+        for i, row in enumerate(rows):
+            s = scale[i] = lcm(rhs[i].denominator, *(x.denominator for x in row.values()))
+            rows[i] = {k: x.numerator * (s // x.denominator) for k, x in row.items()}
+            rhs[i] = rhs[i].numerator * (s // rhs[i].denominator)
     index: list[set[int]] = [set() for _ in system.variables]
     for i, row in enumerate(rows):
         for k in row:
@@ -151,65 +191,86 @@ def _forward(system: LinearSystem, track_combo: bool):
             continue
         top = min(candidates, key=lambda i: (len(rows[i]), i))
         candidates.discard(top)
-        inv = pow(rows[top].pop(col), -1, p)
-        pivot_row = rows[top] = {k: reduce(x * inv) for k, x in rows[top].items()}
+        pivot_row = rows[top]
+        x = pivot_row.pop(col)
         for k in pivot_row:
             index[k].discard(top)
-        pivot_rhs = rhs[top] = reduce(rhs[top] * inv)
-        if combos is not None:
-            combos[top] = {k: reduce(x * inv) for k, x in combos[top].items()}
-        for i in candidates:
-            factor = rows[i].pop(col)
-            _subtract(rows[i], factor, pivot_row, reduce, index, i)
-            if pivot_rhs:
-                rhs[i] = reduce(rhs[i] - factor * pivot_rhs)
-            if combos is not None:
-                _subtract(combos[i], factor, combos[top], reduce)
+        if p and x != 1:
+            inv = pow(x, -1, p)
+            for k, y in pivot_row.items():
+                pivot_row[k] = y * inv % p
+            rhs[top] = rhs[top] * inv % p
+            log.extend((top, inv, 0, top, 1))
+            x = 1
+        coef[top] = x
+        _eliminate(rows, rhs, coef, top, col, candidates, field, log, index)
         pivots.append((col, top))
-    return rows, rhs, pivots, combos
+    return rows, rhs, pivots, coef, scale, log
+
+
+def _scalar(field: FieldDescriptor, n: int, d: int) -> Scalar:
+    """n/d in ``field``. Over GF(p) pivot rows are scaled to 1 and no row is
+    divided by a content, so every ``d`` passed here is 1."""
+    return Scalar(field, n if field.p else Fraction(n, d))
+
+
+def _certificate(field: FieldDescriptor, bad: int, rhs: list, scale: list,
+                 log: list[int]) -> Certificate:
+    """Row ``bad``'s combination of the input rows, by one reverse pass over
+    the log. ``weights`` holds each row's multiplier in row ``bad`` times
+    ``d``, a common factor raised where a division by a content would not be
+    exact. The result is scaled so that row ``bad``'s own multiplier is 1."""
+    reduce = field.reduce
+    weights, d = {bad: 1}, 1
+    for n in range(len(log) - 5, -1, -5):
+        i, a, b, t, c = log[n:n + 5]
+        w = weights.get(i)
+        if not w:
+            continue
+        if c > 1:
+            g = c // gcd(w, c)
+            if g > 1:
+                weights = {k: v * g for k, v in weights.items()}
+                d, w = d * g, w * g
+            w //= c
+        weights[i] = reduce(w * a)
+        if b:
+            weights[t] = reduce(weights.get(t, 0) - w * b)
+    den, zero_s = weights[bad] * scale[bad], zero(field)
+    return Certificate(tuple(_scalar(field, w * s, den) if (w := weights.get(j)) else zero_s
+                             for j, s in enumerate(scale)),
+                       _scalar(field, rhs[bad] * d, den))
 
 
 def classify_and_solve(system: LinearSystem) -> OracleResult:
-    """Exact sparse elimination with full classification.
+    """Exact sparse elimination with full classification, one elimination per system.
 
-    An inconsistent system is re-eliminated with combination tracking so the
-    result carries a certificate checkable against the original rows alone.
+    An inconsistent system's certificate, checkable against the original rows
+    alone, is read back from the forward elimination's log.
     """
     field = system.field
     nvars = len(system.variables)
-    rows, rhs, pivots, _ = _forward(system, False)
-    pivot_of = dict(pivots)
-    pivot_rows = set(pivot_of.values())
-    if any(x and i not in pivot_rows for i, x in enumerate(rhs)):
-        # The first row left as 0 = rhs != 0 gives the certificate.
-        _, rhs, pivots, combos = _forward(system, True)
-        pivot_rows = {i for _, i in pivots}
-        bad = next(i for i, x in enumerate(rhs) if x and i not in pivot_rows)
-        combo, zero_s = combos[bad], zero(field)
-        return OracleResult(INCONSISTENT, certificate=Certificate(
-            tuple(Scalar(field, combo[i]) if i in combo else zero_s for i in range(len(rhs))),
-            Scalar(field, rhs[bad])))
+    rows, rhs, pivots, coef, scale, log = _forward(system)
+    # The first row left as 0 = rhs != 0 gives the certificate.
+    bad = next((i for i, x in enumerate(rhs) if x and not coef[i]), None)
+    if bad is not None:
+        return OracleResult(INCONSISTENT, certificate=_certificate(field, bad, rhs, scale, log))
 
     # Reduce the pivot rows fully (last pivot first), so each holds only free
     # columns; a pivot variable is forced (same value in every solution) iff
     # its row is then empty, so with no free column every variable is. Fill-in
     # lands in free columns only, so the rows holding each pivot column are
-    # known up front.
-    reduce = field.reduce
-    holders: dict[int, list[int]] = {col: [] for col in pivot_of}
+    # known up front. A forced value is its row's rhs over its pivot coefficient.
+    pivot_of = dict(pivots)
+    holders: dict[int, list[int]] = {}
     for _, i in pivots:
         for k in rows[i]:
-            if k in holders:
-                holders[k].append(i)
+            if k in pivot_of:
+                holders.setdefault(k, []).append(i)
     for col, i in reversed(pivots):
-        pivot_row, pivot_rhs = rows[i], rhs[i]
-        for j in holders[col]:
-            factor = rows[j].pop(col)
-            if pivot_row:   # every pivot row of a unique system is empty here
-                _subtract(rows[j], factor, pivot_row, reduce)
-            if pivot_rhs:
-                rhs[j] = reduce(rhs[j] - factor * pivot_rhs)
-    forced = {system.variables[col]: Scalar(field, rhs[i])
+        if col in holders:
+            _eliminate(rows, rhs, coef, i, col, holders[col], field, [])
+    forced = {system.variables[col]: _scalar(field, rhs[i], coef[i])
               for col, i in pivots if not rows[i]}
     if len(pivots) == nvars:   # pivots are in column order, so is the assignment
         return OracleResult(UNIQUE, assignment=forced)
@@ -246,9 +307,10 @@ def verify_certificate(system: LinearSystem, certificate: Certificate) -> bool:
     for mult, row, b in zip(certificate.combination, system.sparse_rows, system.rhs):
         if mult.is_zero():
             continue
-        _subtract(lhs, -mult.value, row, reduce)
+        for k, x in row.items():
+            lhs[k] = reduce(lhs.get(k, 0) + mult.value * x)
         rhs = reduce(rhs + mult.value * b.value)
-    return not lhs and Scalar(field, rhs) == certificate.rhs and rhs != 0
+    return not any(lhs.values()) and Scalar(field, rhs) == certificate.rhs and rhs != 0
 
 
 def oracle_equals_fill(result: OracleResult, fill_result) -> tuple[bool, list[str]]:
@@ -274,14 +336,20 @@ def oracle_equals_fill(result: OracleResult, fill_result) -> tuple[bool, list[st
         return True, []
     values, verb = ((result.assignment, "oracle") if result.kind == UNIQUE
                     else (result.forced, "oracle forces"))
+    window = fill_result.window
+    fd = window.field
+    # One field check for all cells: every oracle value comes from one system.
+    same_field = not values or next(iter(values.values())).field == fd
     diffs: list[str] = []
-    for r, c, v in fill_result.window.known_cells():
+    for (r, c), x in zip(window.bounds.coords(), window._cells):
+        if x is None:
+            continue
         ov = values.get((r, c))
         if ov is None:
-            diffs.append(f"({r},{c}): fill derived {v.render()} but oracle "
+            diffs.append(f"({r},{c}): fill derived {Scalar(fd, x).render()} but oracle "
                          "does not force this cell")
-        elif ov != v:
-            diffs.append(f"({r},{c}): fill {v.render()} {verb} {ov.render()}")
+        elif not same_field or ov.value != x:
+            diffs.append(f"({r},{c}): fill {Scalar(fd, x).render()} {verb} {ov.render()}")
     return (not diffs), diffs
 
 

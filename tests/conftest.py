@@ -1,6 +1,7 @@
 """Shared fixtures: the worked-example overlay, reference values, a
-generator of random overlays usable with standard layouts, and hostile
-problem files that must end in a pointed SchemaError."""
+generator of random overlays usable with standard layouts (and their
+fractional-coefficient variant over Q), and hostile problem files that must
+end in a pointed SchemaError."""
 
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from recur2d import (Bounds, FieldDescriptor, Overlay, RATIONALS, Scalar,
-                     from_int, parse_template, prime_field, zero)
+                     from_fraction, from_int, parse_template, prime_field, zero)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 WORKED_DOC = json.loads((FIXTURES / "worked_example.json").read_text())
@@ -151,6 +152,14 @@ def make_random_overlay(rng: random.Random, field: FieldDescriptor,
                 for jj in range(lo, hi + 1):
                     grid[row][jj] = _nonzero(rng, field)
     return Overlay(field, grid)
+
+
+def fractional(rng, o):
+    """``o``'s zero pattern over Q with coefficients such as 3, -1/2 or 5/7."""
+    return Overlay(RATIONALS, [
+        [from_fraction(rng.choice((-1, 1)) * rng.randint(1, 7), rng.choice((1, 1, 2, 3, 7)),
+                       RATIONALS) if o.coefficient(i, j) else zero(RATIONALS)
+         for j in range(o.n + 1)] for i in range(o.m + 1)])
 
 
 @pytest.fixture

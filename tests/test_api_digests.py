@@ -23,12 +23,12 @@ from recur2d import (ArrayWindow, Bounds, DiagonalProvenance, EngineError, FillR
                      Overlay, RATIONALS, Scalar, StandardProvenance,
                      assemble_system, basis_array, check_support_cases,
                      custom_layout, diagonal_layout, dump_system, fill, fill_diagonal,
-                     finite_contribution_report, from_fraction, from_int, annihilates,
+                     finite_contribution_report, from_int, annihilates,
                      oracle_equals_fill, prime_field, random_values, replay,
                      solve_problem, standard_layout, steps_from_jsonl, steps_to_jsonl,
                      superpose, zero)
 from recur2d.errors import LayoutOutOfWindow
-from conftest import make_random_overlay
+from conftest import fractional, make_random_overlay
 
 DIGESTS = Path(__file__).resolve().parent / "fixtures" / "api_digests.json"
 FIELDS = (RATIONALS, prime_field(7), prime_field(101))
@@ -65,14 +65,6 @@ def oracle_obj(res):
             "free_witness": res.free_witness,
             "certificate": None if cert is None else
             {"combination": [typed(x) for x in cert.combination], "rhs": typed(cert.rhs)}}
-
-
-def fractional(rng, o):
-    """``o``'s zero pattern over Q with coefficients such as 3, -1/2 or 5/7."""
-    return Overlay(RATIONALS, [
-        [from_fraction(rng.choice((-1, 1)) * rng.randint(1, 7), rng.choice((1, 1, 2, 3, 7)),
-                       RATIONALS) if o.coefficient(i, j) else zero(RATIONALS)
-         for j in range(o.n + 1)] for i in range(o.m + 1)])
 
 
 def diagonal_stencil(rng, fd):

@@ -17,8 +17,9 @@ from recur2d import (Bounds, Certificate, INCONSISTENT, LayoutOutOfWindow,
                      parse_template, prime_field, random_values,
                      solve_problem, standard_layout, verify_assignment,
                      verify_certificate, zero)
+import recur2d.oracle as oracle_module
 from recur2d.oracle import _forward
-from conftest import make_random_overlay
+from conftest import fractional, make_random_overlay
 
 F101 = prime_field(101)
 FIELDS = [RATIONALS, prime_field(7), F101]
@@ -76,6 +77,124 @@ def dense_classify_and_solve(system: LinearSystem) -> OracleResult:
                         free_witness=system.variables[free_cols[0]])
 
 
+# -- the Fraction reference: the sparse oracle as it ran before integer rows,
+#    copied unchanged but for the names; it eliminates an inconsistent system
+#    a second time, tracking each row's combination of input rows --
+
+def reference_subtract(row: dict, factor, pivot_row: dict, reduce,
+                       index: list[set[int]] | None = None, i: int = 0) -> None:
+    """row -= factor * pivot_row in place, dropping entries that cancel; when
+    given, ``index`` (column -> rows holding it) follows row ``i``."""
+    for k, y in pivot_row.items():
+        x = row.get(k)
+        if x is None:
+            row[k] = reduce(-factor * y)
+            if index is not None:
+                index[k].add(i)
+            continue
+        x = reduce(x - factor * y)
+        if x:
+            row[k] = x
+        else:
+            del row[k]
+            if index is not None:
+                index[k].discard(i)
+
+
+def reference_forward(system: LinearSystem, track_combo: bool):
+    """Forward elimination on copies of the sparse rows, columns in order.
+
+    At each column the candidates are the rows not yet used as pivots that
+    hold it; the shortest pivots (ties to the lowest row index), is scaled
+    to 1 there and stored without that column, and the column is eliminated
+    from the other candidates only. Every row that never pivots ends empty.
+    With ``track_combo`` each row also carries its combination over the
+    original rows, as a sparse dict. Returns (rows, rhs, pivots, combos),
+    pivots listing (column, row) in column order.
+    """
+    field = system.field
+    reduce, p = field.reduce, field.p
+    rows = [dict(row) for row in system.sparse_rows]
+    rhs = [b.value for b in system.rhs]
+    one_v = one(field).value
+    combos = [{i: one_v} for i in range(len(rows))] if track_combo else None
+    index: list[set[int]] = [set() for _ in system.variables]
+    for i, row in enumerate(rows):
+        for k in row:
+            index[k].add(i)
+    pivots: list[tuple[int, int]] = []
+    for col, candidates in enumerate(index):
+        if not candidates:
+            continue
+        top = min(candidates, key=lambda i: (len(rows[i]), i))
+        candidates.discard(top)
+        inv = pow(rows[top].pop(col), -1, p)
+        pivot_row = rows[top] = {k: reduce(x * inv) for k, x in rows[top].items()}
+        for k in pivot_row:
+            index[k].discard(top)
+        pivot_rhs = rhs[top] = reduce(rhs[top] * inv)
+        if combos is not None:
+            combos[top] = {k: reduce(x * inv) for k, x in combos[top].items()}
+        for i in candidates:
+            factor = rows[i].pop(col)
+            reference_subtract(rows[i], factor, pivot_row, reduce, index, i)
+            if pivot_rhs:
+                rhs[i] = reduce(rhs[i] - factor * pivot_rhs)
+            if combos is not None:
+                reference_subtract(combos[i], factor, combos[top], reduce)
+        pivots.append((col, top))
+    return rows, rhs, pivots, combos
+
+
+def reference_classify_and_solve(system: LinearSystem) -> OracleResult:
+    """Exact sparse elimination with full classification.
+
+    An inconsistent system is re-eliminated with combination tracking so the
+    result carries a certificate checkable against the original rows alone.
+    """
+    field = system.field
+    nvars = len(system.variables)
+    rows, rhs, pivots, _ = reference_forward(system, False)
+    pivot_of = dict(pivots)
+    pivot_rows = set(pivot_of.values())
+    if any(x and i not in pivot_rows for i, x in enumerate(rhs)):
+        # The first row left as 0 = rhs != 0 gives the certificate.
+        _, rhs, pivots, combos = reference_forward(system, True)
+        pivot_rows = {i for _, i in pivots}
+        bad = next(i for i, x in enumerate(rhs) if x and i not in pivot_rows)
+        combo, zero_s = combos[bad], zero(field)
+        return OracleResult(INCONSISTENT, certificate=Certificate(
+            tuple(Scalar(field, combo[i]) if i in combo else zero_s for i in range(len(rhs))),
+            Scalar(field, rhs[bad])))
+
+    # Reduce the pivot rows fully (last pivot first), so each holds only free
+    # columns; a pivot variable is forced (same value in every solution) iff
+    # its row is then empty, so with no free column every variable is. Fill-in
+    # lands in free columns only, so the rows holding each pivot column are
+    # known up front.
+    reduce = field.reduce
+    holders: dict[int, list[int]] = {col: [] for col in pivot_of}
+    for _, i in pivots:
+        for k in rows[i]:
+            if k in holders:
+                holders[k].append(i)
+    for col, i in reversed(pivots):
+        pivot_row, pivot_rhs = rows[i], rhs[i]
+        for j in holders[col]:
+            factor = rows[j].pop(col)
+            if pivot_row:   # every pivot row of a unique system is empty here
+                reference_subtract(rows[j], factor, pivot_row, reduce)
+            if pivot_rhs:
+                rhs[j] = reduce(rhs[j] - factor * pivot_rhs)
+    forced = {system.variables[col]: Scalar(field, rhs[i])
+              for col, i in pivots if not rows[i]}
+    if len(pivots) == nvars:   # pivots are in column order, so is the assignment
+        return OracleResult(UNIQUE, assignment=forced)
+    free = next(col for col in range(nvars) if col not in pivot_of)
+    return OracleResult(UNDERDETERMINED, forced=forced,
+                        free_witness=system.variables[free])
+
+
 def random_problem(rng: random.Random, overlay: Overlay, values):
     """A window and a layout for ``overlay``: a standard layout where the
     window hosts one, else random pins; then maybe one pin dropped, or one
@@ -110,6 +229,35 @@ def random_system(seed: int, field) -> LinearSystem:
     ints = {}
     lay, b = random_problem(rng, overlay, lambda cell: ints.setdefault(cell, rng.randint(-5, 5)))
     return assemble_system(overlay, lay, b)
+
+
+def fractional_system(seed: int, field) -> LinearSystem:
+    """``random_system``'s draw, but over Q with coefficients such as 3, -1/2
+    or 5/7 and with each pin divided by 1, 2, 3 or 7."""
+    rng = random.Random(seed)
+    o = make_random_overlay(rng, field)
+    if field is RATIONALS:
+        o = fractional(rng, o)
+    ints = {}
+    lay, b = random_problem(rng, o, lambda cell: ints.setdefault(cell, rng.randint(-5, 5)))
+    if field is RATIONALS:
+        lay = custom_layout({cell: v * from_fraction(1, rng.choice((1, 1, 2, 3, 7)), field)
+                             for cell, v in lay.prescribed.items()}, b)
+    return assemble_system(o, lay, b)
+
+
+def canonical(result: OracleResult):
+    """Every field of ``result``, each Scalar with its payload type and each
+    dict as its item list, so that payload types and dict order count."""
+    def typed_value(v):
+        return type(v.value), v
+
+    def items(values):
+        return None if values is None else [(k, typed_value(v)) for k, v in values.items()]
+    cert = result.certificate
+    return (result.kind, items(result.assignment), items(result.forced), result.free_witness,
+            None if cert is None else ([typed_value(x) for x in cert.combination],
+                                       typed_value(cert.rhs)))
 
 
 def typed(values):
@@ -400,8 +548,13 @@ class TestAgainstDenseReference:
         systems = [assemble_system(example_overlay, layout, example_bounds)
                    for layout in (lay, dropped, bad)]
         monkeypatch.setattr(LinearSystem, "rows", property(refuse))
+        forward, eliminated = oracle_module._forward, []
+        monkeypatch.setattr(oracle_module, "_forward",
+                            lambda system: eliminated.append(system) or forward(system))
         results = [classify_and_solve(system) for system in systems]
         assert [r.kind for r in results] == [UNIQUE, UNDERDETERMINED, INCONSISTENT]
+        # One elimination per system, the inconsistent one's certificate included.
+        assert len(eliminated) == 3 and all(a is b for a, b in zip(eliminated, systems))
         for layout in (lay, dropped, bad):
             solve_problem(example_overlay, layout, example_bounds)
             layout_is_valid(example_overlay, layout, example_bounds)
@@ -418,6 +571,40 @@ class TestAgainstDenseReference:
             assert {k: x.value for k, x in enumerate(row) if x} == sparse
             assert all(x.field == RATIONALS for x in row)
 
+
+class TestAgainstFractionReference:
+    """The integer-row elimination against the Fraction elimination it replaced."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), field=st.sampled_from(FIELDS))
+    def test_same_result_as_fraction_elimination(self, seed, field):
+        system = fractional_system(seed, field)
+        assert canonical(classify_and_solve(system)) \
+            == canonical(reference_classify_and_solve(system))
+
+    def test_fractional_systems_reach_every_kind(self):
+        kinds = {(field, kind): 0 for field in FIELDS
+                 for kind in (UNIQUE, UNDERDETERMINED, INCONSISTENT)}
+        for seed in range(300):
+            field = FIELDS[seed % 3]
+            kinds[field, classify_and_solve(fractional_system(seed, field)).kind] += 1
+        assert min(kinds.values()) >= 10, kinds
+
+    def test_3x3_partial_on_a_20x20_window(self):
+        o = overlay_of("3*X^2*Y^2 + 3*X*Y^2 + 2*Y^2 + 2*Y + 3*X^2")
+        b = Bounds(-1, 18, -1, 18)
+        lay = standard_layout(o, b, 0, 0, random_values(3, RATIONALS))
+        system = assemble_system(o, lay, b)
+        got = classify_and_solve(system)
+        assert got.kind == UNDERDETERMINED
+        assert canonical(got) == canonical(reference_classify_and_solve(system))
+        # One more pin, on the last forced cell, one off its forced value.
+        cell = max(set(got.forced) - set(lay.prescribed))
+        bad = custom_layout({**lay.prescribed, cell: got.forced[cell] + s(1)}, b)
+        system = assemble_system(o, bad, b)
+        got = classify_and_solve(system)
+        assert got.kind == INCONSISTENT
+        assert canonical(got) == canonical(reference_classify_and_solve(system))
 
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
@@ -481,7 +668,7 @@ class TestThirdSolver:
             got = classify_and_solve(system)
             kinds.add(kind)
             assert got.kind == kind, seed
-            assert len(_forward(system, False)[2]) == rank, seed
+            assert len(_forward(system)[2]) == rank, seed
             if kind == UNIQUE:
                 assert got.assignment == values, seed
             if kind == UNDERDETERMINED:
