@@ -169,6 +169,19 @@ def refusals(o, lay, b, res, rng):
             o, lay, res.steps[:k] + (moved,) + res.steps[k + 1:], b))
         yield "refuse/replay-foreign", outcome(lambda: replay(
             o, custom_layout({}), res.steps, b))
+        j = rng.randrange(len(res.steps))   # step j again, later, with another value
+        again = dataclasses.replace(res.steps[j], value=res.steps[j].value + from_int(1, fd))
+        at = rng.randint(j + 1, len(res.steps))
+        yield "refuse/replay-repeat", outcome(lambda: replay(
+            o, lay, res.steps[:at] + (again,) + res.steps[at:], b))
+        r, c = step.placement
+        off = dataclasses.replace(step, placement=(r + b.height, c))
+        yield "refuse/replay-off-window", outcome(lambda: replay(
+            o, lay, res.steps[:k] + (off,) + res.steps[k + 1:], b))
+        if len(res.steps) > 1:
+            i = rng.randrange(len(res.steps) - 1)
+            yield "refuse/replay-swapped", outcome(lambda: replay(
+                o, lay, res.steps[:i] + (res.steps[i + 1], res.steps[i]) + res.steps[i + 2:], b))
 
 
 def digests():
