@@ -10,8 +10,8 @@ then checks. ``_schedule`` is a counter worklist over coordinates (Dowling &
 Gallier, J. Logic Programming 1984): each placement counts its Unknown cells
 and is visited when the count reaches one, in the order a restart scan
 (rescanning the placement list until a sweep solves nothing) would solve it,
-so the step log is that scan's. It returns one plan object, as ``_compile`` does
-for a step log read back, and everything after reads that plan. ``_evaluate``,
+so the step log is that scan's (``replay`` schedules a log's placements in log
+order). It returns one plan object, and everything after reads it. ``_evaluate``,
 the only code that computes a solved value, runs it on a flat row-major list of
 raw payloads (None for Unknown; ``Bounds.index``); over Q it runs on int
 numerator/denominator pairs and writes one Fraction back per solved cell. A
@@ -68,9 +68,9 @@ class FillStep:
 
 @dataclass(frozen=True)
 class _Plan:
-    """What a schedule, or a compiled step log, decides from coordinates alone: one
-    (placement's flat index, target, -1/pivot) per solve in ``steps``, each solve's
-    (placement, pivot), and the fully Known placements left to check."""
+    """What a schedule decides from coordinates alone: one (placement's flat index,
+    target, -1/pivot) per solve in ``steps``, each solve's (placement, pivot), and
+    the fully Known placements left to check."""
 
     field: FieldDescriptor
     stencil: list[tuple]
@@ -265,29 +265,6 @@ def _fill_in_order(overlay: Overlay, layout: Layout, bounds: Bounds,
     return FillResult(window, status, plan, unfilled, witness)
 
 
-def _compile(overlay: Overlay, coords: list[tuple[int, int]], bounds: Bounds,
-             steps: tuple[FillStep, ...]) -> _Plan:
-    """The step log as a plan, with no checks. Reads coordinates only:
-    with the cells at ``coords`` Known, raises ValueError when a step's placement
-    lies off the window or its one Unknown is not its logged cell and pivot."""
-    stencil = _stencil(overlay, bounds)
-    known = {bounds.index(*coord) for coord in coords}
-    compiled = []
-    for step in steps:
-        r, c = step.placement
-        if not (bounds.contains(r, c) and bounds.contains(r - overlay.m, c - overlay.n)):
-            raise ValueError(f"step {step} places the overlay off {bounds}")
-        at = bounds.index(r, c)
-        unknown = [entry for entry in stencil if at + entry[0] not in known]
-        if [((r - i, c - j), (i, j)) for *_, (i, j) in unknown] != [(step.solved, step.pivot)]:
-            raise ValueError(f"step {step} does not replay against this layout")
-        [(offset, _, neg_inv, _)] = unknown
-        known.add(at + offset)
-        compiled.append((at, at + offset, neg_inv))
-    return _Plan(overlay.field, stencil, compiled,
-                 [(step.placement, step.pivot) for step in steps], [])
-
-
 def fill(overlay: Overlay, layout: Layout, bounds: Bounds, *,
          order_seed: int | None = None) -> FillResult:
     """Propagate the overlay's recurrence from the layout across the window.
@@ -304,15 +281,33 @@ def fill(overlay: Overlay, layout: Layout, bounds: Bounds, *,
 
 def replay(overlay: Overlay, layout: Layout, steps: tuple[FillStep, ...],
            bounds: Bounds) -> ArrayWindow:
-    """Re-execute a step log, from any scan order, from the layout seed:
-    compiled and then evaluated; raises if any step no longer applies."""
+    """Re-execute a step log, from any scan order, from the layout seed. Its
+    placements, in log order up to the first off the window, are scheduled; while
+    the log applies, the plan solves its steps in log order, so the first step not
+    solved as logged is the first that no longer applies. Raises there, or at the
+    first evaluated value that differs from the logged one."""
     fd = overlay.field
     cells = _seed(overlay, layout, bounds)   # checks the layout before any step
-    _evaluate(_compile(overlay, layout.coords, bounds, steps), cells)
+    r_lo, c_lo = bounds.r_min + overlay.m, bounds.c_min + overlay.n
+    placed = {}   # ordered, one entry per placement: _schedule keys positions by cell
     for step in steps:
-        redone = cells[bounds.index(*step.solved)]
-        if redone != step.value.value or step.value.field != fd:
-            raise ValueError(f"replayed value {Scalar(fd, redone)!r} differs from "
+        r, c = placement = tuple(step.placement)
+        if not (r_lo <= r <= bounds.r_max and c_lo <= c <= bounds.c_max):
+            break   # as placements_within, the overlay's stencil must lie in the window
+        placed[placement] = None
+    plan = _schedule(overlay, layout.coords, bounds, list(placed))
+    for k, step in enumerate(steps):
+        placement = tuple(step.placement)
+        if k < len(plan.solves) and plan.solves[k] == (placement, step.pivot) \
+                and step.solved == (placement[0] - step.pivot[0], placement[1] - step.pivot[1]):
+            continue
+        if placement not in placed:
+            raise ValueError(f"step {step} places the overlay off {bounds}")
+        raise ValueError(f"step {step} does not replay against this layout")
+    _evaluate(plan, cells)
+    for step, (_, target, _) in zip(steps, plan.steps):
+        if cells[target] != step.value.value or step.value.field != fd:
+            raise ValueError(f"replayed value {Scalar(fd, cells[target])!r} differs from "
                              f"logged {step.value!r}")
     return ArrayWindow._adopt(bounds, fd, cells)
 

@@ -160,6 +160,12 @@ class TestBasis:
             main(["basis", WORKED, "--at", "zap"])
         assert exc.value.code == 2
 
+    def test_non_integer_at_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["basis", WORKED, "--at", "1,x"])
+        assert exc.value.code == 2
+        assert "expected integers 'r,c', got '1,x'" in capsys.readouterr().err
+
 
 class TestOtherCommands:
     def test_series_terms(self, capsys):
@@ -182,6 +188,22 @@ class TestOtherCommands:
     def test_oracle_diff_on_partial_agreement(self, tmp_path, capsys):
         assert main(["oracle-diff", underdetermined_spec(tmp_path)]) == 0
         assert "agree" in capsys.readouterr().out
+
+    def test_oracle_diff_on_the_five_value_stall_exits_4(self, tmp_path, capsys):
+        # Propagation stalls on (0,1) and (1,1); their 2x2 system is unique.
+        # Resolving stalls inside the schedule (ROADMAP item 5(c)) changes this
+        # output on purpose.
+        spec = write_spec(tmp_path, {
+            "field": {"kind": "rationals"},
+            "template": "X*Y + 3*Y + 2*X - I",
+            "layout": {"kind": "custom", "values": [
+                {"r": r, "c": c, "value": k} for k, (r, c)
+                in enumerate([(0, 0), (0, 3), (1, 0), (1, 2), (1, 3)], 1)]},
+            "window": {"r_min": 0, "r_max": 1, "c_min": 0, "c_max": 3},
+        })
+        assert main(["oracle-diff", spec]) == 4
+        assert capsys.readouterr().out == (
+            "disagree: fill partial, oracle unique\nfill partial but oracle unique\n")
 
 
 class TestLargeWindow:

@@ -73,6 +73,7 @@ class TestRationalArithmetic:
         x = from_fraction(a.numerator, a.denominator, RATIONALS)
         y = from_fraction(b.numerator, b.denominator, RATIONALS)
         assert x + y == y + x
+        assert x - y == x + (-y)
 
     @given(st.fractions(), st.fractions(), st.fractions())
     def test_mul_distributes(self, a, b, c):
@@ -114,6 +115,7 @@ class TestPrimeArithmetic:
         x, y = from_int(a, self.F), from_int(b, self.F)
         assert (x + y).value == (a + b) % 7
         assert x + y == y + x
+        assert x - y == x + (-y)
 
     @given(st.integers(1, 6))
     def test_inverse(self, a):

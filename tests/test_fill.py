@@ -28,6 +28,7 @@ from recur2d import (ArrayWindow, Bounds, COMPLETE, CoordinateNotInLayout,
                      window_linear_combine, zero, zero_values)
 from recur2d.errors import NonStandardLayout
 from conftest import make_random_overlay
+from test_api_digests import problem
 
 # The module, not the ``fill`` function the package re-exports under its name.
 fill_module = importlib.import_module("recur2d.fill")
@@ -565,6 +566,132 @@ class TestStepLog:
                     step = FillStep((r, c), target, (r - target[0], c - target[1]), s(0))
                     with pytest.raises(ValueError):
                         replay(example_overlay, lay, (step,), b)
+
+    def test_replay_refuses_the_repeat_of_a_placement(self, example_overlay):
+        # The repeat is refused, not the step it repeats: the texts differ by value.
+        b = Bounds(-1, 3, -1, 3)
+        lay = standard_layout(example_overlay, b, 0, 0, delta_values(RATIONALS))
+        steps = fill(example_overlay, lay, b).steps
+        again = dataclasses.replace(steps[0], value=steps[0].value + s(1))
+        with pytest.raises(ValueError) as repeat:
+            replay(example_overlay, lay, steps[:3] + (again,) + steps[3:], b)
+        assert str(repeat.value) == (
+            "step FillStep(placement=(0, 0), solved=(-1, -1), pivot=(1, 1), value=2) "
+            "does not replay against this layout")
+
+    def test_replay_refuses_a_known_placement_before_its_repeat(self):
+        # A first step at a fully Known placement is refused, not its repeat.
+        o, b = overlay_of("2*I"), Bounds(0, 1, 0, 1)
+        steps = (FillStep((0, 0), (0, 0), (0, 0), s(1)), FillStep((0, 0), (0, 0), (0, 0), s(2)))
+        with pytest.raises(ValueError) as known:
+            replay(o, custom_layout({(0, 0): s(1)}, b), steps, b)
+        assert str(known.value) == (
+            "step FillStep(placement=(0, 0), solved=(0, 0), pivot=(0, 0), value=1) "
+            "does not replay against this layout")
+
+
+# -- the step-log compiler replay ran before it scheduled the log ------------
+# Kept as the reference: replay must refuse the same step with the same text,
+# or return the same window with the same payload types.
+
+def reference_compile(overlay, coords, bounds, steps):
+    """The step log as a plan, with no checks. Reads coordinates only:
+    with the cells at ``coords`` Known, raises ValueError when a step's placement
+    lies off the window or its one Unknown is not its logged cell and pivot."""
+    stencil = fill_module._stencil(overlay, bounds)
+    known = {bounds.index(*coord) for coord in coords}
+    compiled = []
+    for step in steps:
+        r, c = step.placement
+        if not (bounds.contains(r, c) and bounds.contains(r - overlay.m, c - overlay.n)):
+            raise ValueError(f"step {step} places the overlay off {bounds}")
+        at = bounds.index(r, c)
+        unknown = [entry for entry in stencil if at + entry[0] not in known]
+        if [((r - i, c - j), (i, j)) for *_, (i, j) in unknown] != [(step.solved, step.pivot)]:
+            raise ValueError(f"step {step} does not replay against this layout")
+        [(offset, _, neg_inv, _)] = unknown
+        known.add(at + offset)
+        compiled.append((at, at + offset, neg_inv))
+    return fill_module._Plan(overlay.field, stencil, compiled,
+                             [(step.placement, step.pivot) for step in steps], [])
+
+
+def reference_replay(overlay, layout, steps, bounds):
+    """Re-execute a step log, from any scan order, from the layout seed:
+    compiled and then evaluated; raises if any step no longer applies."""
+    fd = overlay.field
+    cells = fill_module._seed(overlay, layout, bounds)   # checks the layout before any step
+    fill_module._evaluate(reference_compile(overlay, layout.coords, bounds, steps), cells)
+    for step in steps:
+        redone = cells[bounds.index(*step.solved)]
+        if redone != step.value.value or step.value.field != fd:
+            raise ValueError(f"replayed value {Scalar(fd, redone)!r} differs from "
+                             f"logged {step.value!r}")
+    return ArrayWindow._adopt(bounds, fd, cells)
+
+
+def edited_log(rng, overlay, bounds, steps):
+    """``steps`` after up to three random edits: a step deleted, two swapped, one
+    repeated later (its value changed or not), its pivot or solved cell rewritten,
+    its placement moved (off the window too), its value changed, or every step
+    rebuilt with list coordinates."""
+    fd, steps = overlay.field, list(steps)
+    grid = [(i, j) for i, j, _ in overlay.nonzero_cells()] + [(7, 7)]
+    for _ in range(rng.randint(0, 3)):
+        if not steps:
+            break
+        k, edit = rng.randrange(len(steps)), rng.randrange(8)
+        step = steps[k]
+        if edit == 0:
+            del steps[k]
+        elif edit == 1:
+            j = rng.randrange(len(steps))
+            steps[k], steps[j] = steps[j], steps[k]
+        elif edit == 2:
+            steps.insert(rng.randint(k + 1, len(steps)), dataclasses.replace(
+                step, value=step.value + from_int(rng.randint(0, 1), fd)))
+        elif edit == 3:
+            steps[k] = dataclasses.replace(step, pivot=rng.choice(grid))
+        elif edit == 4:
+            r, c = step.solved
+            steps[k] = dataclasses.replace(step, solved=(r + rng.randint(-1, 1),
+                                                         c + rng.randint(-1, 1)))
+        elif edit == 5:
+            r = rng.randint(bounds.r_min - 2, bounds.r_max + 2)
+            c = rng.randint(bounds.c_min - 2, bounds.c_max + 2)
+            i, j = step.pivot
+            steps[k] = dataclasses.replace(step, placement=(r, c), **(
+                {"solved": (r - i, c - j)} if rng.random() < 0.5 else {}))
+        elif edit == 6:
+            steps[k] = dataclasses.replace(step, value=step.value + from_int(1, fd))
+        else:
+            as_list = [rng.random() < 0.5 for _ in range(3)]
+            steps = [FillStep(*(list(pair) if listed else pair for listed, pair in zip(
+                as_list, (x.placement, x.solved, x.pivot))), x.value) for x in steps]
+    return tuple(steps)
+
+
+def replay_outcome(replay_fn, overlay, layout, steps, bounds):
+    try:
+        window = replay_fn(overlay, layout, steps, bounds)
+    except Exception as e:
+        return type(e), str(e)
+    return window, typed_payloads(window)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), shuffled=st.booleans(), foreign=st.booleans())
+def test_replay_matches_reference_replay(seed, shuffled, foreign):
+    # Q with fractional coefficients, F_7 and F_101; standard, diagonal and
+    # custom layouts; the log replayed against its own layout or other values.
+    rng = random.Random(seed)
+    o, lay, b = problem(seed)
+    steps = fill(o, lay, b, order_seed=seed if shuffled else None).steps
+    steps = edited_log(rng, o, b, steps)
+    if foreign:
+        lay = lay.with_values(random_values(seed + 1, o.field))
+    assert replay_outcome(replay, o, lay, steps, b) \
+        == replay_outcome(reference_replay, o, lay, steps, b)
 
 
 class TestStatuses:

@@ -1,12 +1,14 @@
 """Layouts: coordinate generation, value sources, provenance."""
 
+import json
+
 import pytest
 
 from recur2d import (Bounds, LayoutOutOfWindow, NonContiguousExtremeRow,
                      Overlay, RATIONALS, custom_layout, delta_values,
                      diagonal_coords, diagonal_layout, explicit_values,
-                     from_int, indicator_values, parse_template, prime_field,
-                     random_values, standard_coords, standard_layout,
+                     from_int, indicator_values, loads_problem, parse_template,
+                     prime_field, random_values, standard_coords, standard_layout,
                      zero_values)
 
 
@@ -142,6 +144,22 @@ class TestLayoutObject:
         assert obj["kind"] == "diagonal"
         assert obj["params"] == {"k": 2}
         assert {(e["r"], e["c"]) for e in obj["values"]} == set(lay.coords)
+
+    @pytest.mark.parametrize("fd", [RATIONALS, prime_field(7)], ids=["Q", "F7"])
+    @pytest.mark.parametrize("kind", ["standard", "diagonal", "custom"])
+    def test_json_obj_loads_back_from_a_problem_file(self, kind, fd):
+        o = overlay_of("X*Y + 3*Y + 2*X - I", fd)
+        b = Bounds(-1, 3, -1, 3)
+        values = random_values(5, fd)
+        lay = {"standard": lambda: standard_layout(o, b, 2, 1, values),   # not the defaults
+               "diagonal": lambda: diagonal_layout(1, b, values),
+               "custom": lambda: custom_layout({cell: values(cell) for cell in b.coords()
+                                                if sum(cell) % 3 == 0}, b)}[kind]()
+        spec = loads_problem(json.dumps({
+            "field": {"kind": "rationals"} if fd is RATIONALS else {"kind": "prime", "p": 7},
+            "template": "X*Y + 3*Y + 2*X - I", "layout": lay.to_json_obj(),
+            "window": {"r_min": -1, "r_max": 3, "c_min": -1, "c_max": 3}}))
+        assert spec.layout == lay
 
     def test_custom_layout_bounds_check(self):
         with pytest.raises(LayoutOutOfWindow):
