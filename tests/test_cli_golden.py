@@ -29,6 +29,7 @@ PROBLEMS = [
     ("golden/standard_indicator.json", "0,2", True),
     ("golden/underdetermined.json", "0,0", False),
     ("golden/inconsistent.json", "1,1", False),
+    ("golden/standard_tall.json", "1,0", True),   # refuted i>=n claims
 ]
 OUTS = ("ascii", "tsv", "json")
 
