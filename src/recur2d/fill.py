@@ -17,7 +17,10 @@ raw payloads (None for Unknown; ``Bounds.index``); over Q it runs on int
 numerator/denominator pairs and writes one Fraction back per solved cell. A
 fill's step log is built from the plan and the result's payloads only when
 ``FillResult.steps`` is first read. The basis family runs no fill: one
-schedule, then one evaluation per indicator seed.
+schedule, then one evaluation per indicator seed. ``check_support_cases``
+evaluates fewer: one backward pass over the plan bounds the rows and columns each
+layout cell reaches (``_reach``), which proves most support claims without
+values, and only a coordinate with a claim its box does not prove is evaluated.
 
 Every fully-Known placement that solved no cell is then checked (a solving
 placement's residual is zero by construction); a nonzero residual makes the
@@ -374,19 +377,29 @@ def basis_array(overlay: Overlay, layout: Layout, at: tuple[int, int],
     return ArrayWindow._adopt(bounds, overlay.field, cells)
 
 
+def _basis_plan(overlay: Overlay, layout: Layout, bounds: Bounds) -> tuple[_Plan, list]:
+    """The layout's row-major schedule, and the seed every basis array shares: the
+    flat payload list with 0 at each layout cell and None (Unknown) elsewhere."""
+    seed = _seed(overlay, layout, bounds)
+    plan = _schedule(overlay, layout.coords, bounds, overlay.placements_within(bounds))
+    zero_v = zero(overlay.field).value
+    return plan, [None if v is None else zero_v for v in seed]
+
+
+def _basis_window(plan: _Plan, zeros: list, at: int) -> list:
+    """The flat payload list of E(cell ``at``): the plan evaluated on ``zeros`` with a 1 there."""
+    cells = zeros[:]
+    cells[at] = one(plan.field).value
+    return _evaluate(plan, cells)
+
+
 def _basis_windows(overlay: Overlay, layout: Layout, bounds: Bounds,
                    coords: list[tuple[int, int]]) -> Iterator[tuple[tuple[int, int], list]]:
     """(coord, the flat payload list of E(coord)) for each layout coordinate in ``coords``:
     the layout is scheduled once, row-major, and the plan evaluated per indicator seed."""
-    fd = overlay.field
-    seed = _seed(overlay, layout, bounds)
-    plan = _schedule(overlay, layout.coords, bounds, overlay.placements_within(bounds))
-    zero_v = zero(fd).value
-    zeros = [None if v is None else zero_v for v in seed]
+    plan, zeros = _basis_plan(overlay, layout, bounds)
     for coord in coords:
-        cells = zeros[:]
-        cells[bounds.index(*coord)] = one(fd).value
-        yield coord, _evaluate(plan, cells)
+        yield coord, _basis_window(plan, zeros, bounds.index(*coord))
 
 
 def superpose(overlay: Overlay, layout: Layout, bounds: Bounds) -> ArrayWindow:
@@ -477,26 +490,80 @@ _SUPPORT_CLAIMS = (
 )
 
 
+def _reach(plan: _Plan, bounds: Bounds) -> tuple[list[int], list[int], list[int], list[int]]:
+    """Per flat cell, the lowest and highest row and column offset (from the window's
+    corner) of the cells it reaches through the plan's steps, itself included.
+
+    ``_evaluate`` skips zero terms and writes zero for a zero sum, so a basis array
+    E(c) is nonzero only at cells that c reaches. One backward walk settles every
+    cell: each input of a step is Known before it, so a step's target is solved
+    before anything reads it, and its box is complete when the walk reaches that step.
+    """
+    width = bounds.width
+    cells = range(bounds.height * width)
+    row_lo = [x // width for x in cells]
+    col_lo = [x % width for x in cells]
+    row_hi, col_hi = row_lo[:], col_lo[:]
+    offsets = [offset for offset, *_ in plan.stencil]
+    for at, target, _ in reversed(plan.steps):
+        r_lo, r_hi, c_lo, c_hi = row_lo[target], row_hi[target], col_lo[target], col_hi[target]
+        for offset in offsets:
+            x = at + offset
+            if r_lo < row_lo[x]:
+                row_lo[x] = r_lo
+            if r_hi > row_hi[x]:
+                row_hi[x] = r_hi
+            if c_lo < col_lo[x]:
+                col_lo[x] = c_lo
+            if c_hi > col_hi[x]:
+                col_hi[x] = c_hi
+    return row_lo, row_hi, col_lo, col_hi
+
+
 def check_support_cases(overlay: Overlay, layout: Layout, bounds: Bounds) -> SupportReport:
-    """Empirically test the claimed vanishing regions of each basis array.
+    """Test the claimed vanishing regions of each basis array on the window.
 
     For a standard layout, each claim of ``_SUPPORT_CLAIMS`` that applies to a
-    coordinate (i, j) is scanned over the window and confirmations or
-    counterexamples reported; nothing is assumed.
+    coordinate (i, j) is settled over the window, with confirmations or
+    counterexamples reported; nothing is assumed. The layout is scheduled once, and
+    one backward pass over the plan bounds the cells each coordinate reaches
+    (``_reach``). A claim whose region that box misses is confirmed without values;
+    a coordinate with any other claim is evaluated once, and its counterexamples are
+    read from the values. The cells checked and Unknown come from per-row and
+    per-column counts of the Known set, which every basis array shares.
     """
     if not isinstance(layout.provenance, StandardProvenance):
         raise NonStandardLayout("support-case checks are defined for standard layouts")
+    fd, width, height = overlay.field, bounds.width, bounds.height
+    plan, zeros = _basis_plan(overlay, layout, bounds)
+    known = bytearray(v is not None for v in zeros)
+    for _, target, _ in plan.steps:
+        known[target] = 1
+    rows = [(bounds.r_min + k, sum(known[k * width:(k + 1) * width])) for k in range(height)]
+    cols = [(bounds.c_min + k, sum(known[k::width])) for k in range(width)]
+    row_lo, row_hi, col_lo, col_hi = _reach(plan, bounds)
     results: list[SupportCaseResult] = []
-    for (i, j), cells in _basis_windows(overlay, layout, bounds, layout.coords):
+    for i, j in layout.coords:
         claims = [(condition, region, in_region) for condition, applies, region, in_region
                   in _SUPPORT_CLAIMS if applies(i, j, overlay.m, overlay.n)]
         if not claims:
             results.append(SupportCaseResult((i, j), "none", "", 0, 0, ()))
+        x, cells = bounds.index(i, j), None
+        corners = [(bounds.r_min + r, bounds.c_min + c)
+                   for r in (row_lo[x], row_hi[x]) for c in (col_lo[x], col_hi[x])]
         for condition, region, in_region in claims:
-            values = [(cell, v) for cell, v in zip(bounds.coords(), cells)
-                      if in_region(i, j, *cell)]
-            unknown = sum(v is None for _, v in values)
-            bad = tuple((cell, Scalar(overlay.field, v)) for cell, v in values if v)
+            # A claimed region is a strict half-plane through (i, j): the whole rows
+            # that column j meets in it, or the whole columns that row i meets.
+            in_rows = [count for k, count in rows if in_region(i, j, k, j)]
+            in_cols = [count for l, count in cols if in_region(i, j, i, l)]
+            checked = sum(in_rows) + sum(in_cols)
+            unknown = len(in_rows) * width + len(in_cols) * height - checked
+            bad = ()
+            if any(in_region(i, j, *corner) for corner in corners):   # the box meets it
+                if cells is None:
+                    cells = _basis_window(plan, zeros, x)
+                bad = tuple((cell, Scalar(fd, v)) for cell, v in zip(bounds.coords(), cells)
+                            if v and in_region(i, j, *cell))
             results.append(SupportCaseResult((i, j), condition, region.format(i=i, j=j),
-                                             len(values) - unknown, unknown, bad))
+                                             checked, unknown, bad))
     return SupportReport(tuple(results))

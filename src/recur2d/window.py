@@ -14,6 +14,7 @@ hands it to its result window.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterator
 
 from .errors import FrozenWindowError, MixedFieldError, ShapeMismatch
@@ -184,7 +185,10 @@ def window_from_cells(bounds: Bounds, field: FieldDescriptor,
 def window_linear_combine(pairs: list[tuple[Scalar, ArrayWindow]]) -> ArrayWindow:
     """Entry-wise sum of alpha_k * w_k; a cell is Known iff it is Known in all inputs.
 
-    All windows (and the coefficients) must share one field and one bounds.
+    All windows (and the coefficients) must share one field and one bounds. The
+    result is not frozen. Over Q each cell is summed fraction-free, as the fill
+    evaluates: on an int numerator/denominator pair that cross-multiplies only
+    where two denominators differ, with one Fraction built per Known cell.
     """
     if not pairs:
         raise ShapeMismatch("nothing to combine")
@@ -195,17 +199,35 @@ def window_linear_combine(pairs: list[tuple[Scalar, ArrayWindow]]) -> ArrayWindo
         if w.field != first.field or alpha.field != first.field:
             raise MixedFieldError("all windows and coefficients must share one field")
     fd = first.field
-    alphas = [alpha.value for alpha, _ in pairs]
     start = zero(fd).value
     out = ArrayWindow(first.bounds, fd)
-    for k, column in enumerate(zip(*(w._cells for _, w in pairs))):
-        acc = start
-        for alpha, v in zip(alphas, column):
+    if fd.p is not None:
+        alphas = [alpha.value for alpha, _ in pairs]
+        for k, column in enumerate(zip(*(w._cells for _, w in pairs))):
+            acc = start
+            for alpha, v in zip(alphas, column):
+                if v is None:
+                    break
+                acc += alpha * v
+            else:
+                out._cells[k] = fd.reduce(acc)
+        return out
+    size = len(first._cells)
+    known = bytearray(b"\1") * size
+    nums, dens = [0] * size, [1] * size
+    for alpha, w in pairs:
+        a_num, a_den = alpha.value.numerator, alpha.value.denominator
+        for k, v in enumerate(w._cells):
             if v is None:
-                break
-            acc += alpha * v
-        else:
-            out._cells[k] = fd.reduce(acc)
+                known[k] = 0
+            elif a_num and (v_num := v.numerator):
+                num, den, d = a_num * v_num, a_den * v.denominator, dens[k]
+                if den == d:
+                    nums[k] += num
+                else:
+                    nums[k], dens[k] = nums[k] * den + num * d, d * den
+    out._cells = [None if not ok else Fraction(num, den) if num else start
+                  for ok, num, den in zip(known, nums, dens)]
     return out
 
 

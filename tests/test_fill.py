@@ -975,6 +975,85 @@ def test_compiled_basis_matches_indicator_fills(seed, template, field, dropped):
         assert check_support_cases(o, lay, b) == support_scan_by_get(o, lay, b)
 
 
+SUPPORT_SOURCES = ("random", "tall") + BASIS_TEMPLATES
+SUPPORT_FIELDS = (RATIONALS, prime_field(7), prime_field(101))
+
+
+def support_problem(seed, source, field):
+    """A standard-layout problem whose support claims can fail: a random overlay
+    up to 4x4 ("random"), the 3x2 all-ones overlay ("tall") or a template, on a
+    window from row -3..0 with random layout params and values."""
+    rng = random.Random(seed)
+    if source == "random":
+        o = make_random_overlay(rng, field, 3, 3)
+    elif source == "tall":
+        o = Overlay(field, [[one(field)] * 2 for _ in range(3)])
+    else:
+        o = overlay_of(source, field)
+    r0, c0 = rng.randint(-3, 0), rng.randint(-3, 0)
+    b = Bounds(r0, max(o.m - 1, 0) + rng.randint(0, 4), c0, c0 + rng.randint(3, 7))
+    a, d = (rng.randint(b.c_min, b.c_max + 1 - stub) for stub in (o.u, o.l))
+    return o, standard_layout(o, b, a, d, random_values(seed, field)), b
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), source=st.sampled_from(SUPPORT_SOURCES),
+       field=st.sampled_from(SUPPORT_FIELDS))
+def test_support_proof_matches_scan(seed, source, field):
+    # Claims the reach boxes prove are never evaluated; the reference reads every
+    # basis array cell by cell, so a box too small to cover a counterexample shows.
+    problem = support_problem(seed, source, field)
+    report, want = check_support_cases(*problem), support_scan_by_get(*problem)
+    assert report == want
+    assert report.to_text() == want.to_text()
+
+
+def test_support_samples_refute_claims():
+    # The distribution of test_support_proof_matches_scan refutes claims of three
+    # kinds; no sampled standard layout refutes an i<0 claim.
+    refuted = set()
+    for seed in range(60):
+        problem = support_problem(seed, SUPPORT_SOURCES[seed % 5], SUPPORT_FIELDS[seed % 3])
+        report = check_support_cases(*problem)
+        assert report == support_scan_by_get(*problem)
+        refuted.update(res.condition for res in report.results if res.counterexamples)
+    assert {"j>=m", "j<0", "i>=n"} <= refuted
+
+
+def reach_by_search(plan, bounds):
+    """(lowest row, highest row, lowest column, highest column) offsets of the
+    cells each flat cell reaches in the plan's dependency graph (a step's
+    stencil cells feed its target), found by breadth-first search per cell."""
+    feeds = {}
+    for at, target, _ in plan.steps:
+        for offset, *_ in plan.stencil:
+            feeds.setdefault(at + offset, set()).add(target)
+    boxes = []
+    for x in range(bounds.height * bounds.width):
+        seen, frontier = {x}, [x]
+        while frontier:
+            frontier = [y for z in frontier for y in feeds.get(z, ()) if y not in seen]
+            seen.update(frontier)
+        rows, cols = {y // bounds.width for y in seen}, {y % bounds.width for y in seen}
+        boxes.append((min(rows), max(rows), min(cols), max(cols)))
+    return boxes
+
+
+@pytest.mark.parametrize("source", SUPPORT_SOURCES)
+def test_reach_boxes_bound_the_dependency_graph(source):
+    # Each of the four bounds is exercised: layouts fill both up and down from
+    # the band, and both left and right along it. Dropped layout cells give
+    # partial plans.
+    for seed in range(8):
+        o, lay, b = support_problem(seed, source, SUPPORT_FIELDS[seed % 3])
+        if seed % 2:
+            rng = random.Random(seed)
+            lay = custom_layout({coord: v for coord, v in lay.prescribed.items()
+                                 if rng.random() < 0.8}, b)
+        plan = fill_module._schedule(o, lay.coords, b, o.placements_within(b))
+        assert list(zip(*fill_module._reach(plan, b))) == reach_by_search(plan, b)
+
+
 class TestDiagonalFill:
     F7 = prime_field(7)
 
@@ -1072,6 +1151,29 @@ class TestSupportCases:
         assert (1, 0) in refuted
         text = report.to_text()
         assert "counterexample" in text
+
+    def test_evaluates_only_coordinates_the_boxes_do_not_prove(self, monkeypatch,
+                                                               example_overlay):
+        evaluated = []
+        real = fill_module._evaluate
+
+        def counting(plan, cells):
+            evaluated.append(cells.index(1))
+            return real(plan, cells)
+
+        monkeypatch.setattr(fill_module, "_evaluate", counting)
+        b = Bounds(-1, 12, -1, 12)
+        lay = standard_layout(example_overlay, b, 0, 0, random_values(3, RATIONALS))
+        assert check_support_cases(example_overlay, lay, b).counterexample_count() == 0
+        assert evaluated == []
+        # The 3x2 all-ones overlay: each band coordinate (1, j) reaches the rows
+        # above it, and only those are evaluated, once each.
+        o = Overlay(RATIONALS, [[s(1), s(1)] for _ in range(3)])
+        b = Bounds(-2, 3, -2, 3)
+        report = check_support_cases(o, standard_layout(o, b, 0, 0, delta_values(RATIONALS)), b)
+        assert evaluated == [b.index(1, c) for c in range(-2, 4)]
+        assert {res.coord for res in report.results if res.counterexamples} == {
+            (1, c) for c in (-2, -1, 0, 1, 2, 3)}
 
     def test_requires_standard_provenance(self, example_overlay):
         b = Bounds(0, 3, 0, 3)

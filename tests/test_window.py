@@ -1,6 +1,7 @@
 """Array windows: cell states, freezing, combination, serialization."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from recur2d import (ArrayWindow, Bounds, FrozenWindowError, MixedFieldError,
                      RATIONALS, ShapeMismatch, emit_series_terms, from_fraction,
@@ -116,6 +117,43 @@ class TestLinearCombine:
                               {(0, 0): s(5), (1, 1): s(-2)})
         out = window_linear_combine([(one(RATIONALS), a)])
         assert out == a
+
+
+def reference_combine(pairs):
+    """window_linear_combine summing each cell's payloads term by term, Fractions
+    over Q, and reducing once: the loop the fraction-free Q combine replaced."""
+    first = pairs[0][1]
+    fd = first.field
+    alphas = [alpha.value for alpha, _ in pairs]
+    out = ArrayWindow(first.bounds, fd)
+    for k, column in enumerate(zip(*(w._cells for _, w in pairs))):
+        acc = zero(fd).value
+        for alpha, v in zip(alphas, column):
+            if v is None:
+                break
+            acc += alpha * v
+        else:
+            out._cells[k] = fd.reduce(acc)
+    return out
+
+
+# A coefficient or cell: zero, an integer or a fraction; a cell may be Unknown.
+SCALARS = st.one_of(st.just((0, 1)), st.tuples(st.integers(-9, 9), st.sampled_from((1, 2, 3, 4, 6))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(field=st.sampled_from([RATIONALS, prime_field(7), prime_field(101)]),
+       terms=st.lists(st.tuples(SCALARS, st.lists(st.none() | SCALARS, min_size=6, max_size=6)),
+                      min_size=1, max_size=5))
+def test_combine_matches_reference(field, terms):
+    bounds = Bounds(-1, 0, 2, 4)
+    pairs = [(from_fraction(*alpha, field), window_from_cells(bounds, field, {
+        coord: from_fraction(*v, field) for coord, v in zip(bounds.coords(), cells)
+        if v is not None})) for alpha, cells in terms]
+    out, want = window_linear_combine(pairs), reference_combine(pairs)
+    assert out == want
+    assert list(map(type, out._cells)) == list(map(type, want._cells))
+    assert not out.frozen and not want.frozen
 
 
 def golden_windows():
