@@ -1010,7 +1010,7 @@ def test_support_proof_matches_scan(seed, source, field):
 
 def test_support_samples_refute_claims():
     # The distribution of test_support_proof_matches_scan refutes claims of three
-    # kinds; no sampled standard layout refutes an i<0 claim.
+    # kinds; i<0 claims hold on every sample.
     refuted = set()
     for seed in range(60):
         problem = support_problem(seed, SUPPORT_SOURCES[seed % 5], SUPPORT_FIELDS[seed % 3])
